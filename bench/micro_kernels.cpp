@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) of the framework's inner loops:
 // string encoding, canonical keys, MTCG construction, feature extraction,
 // density distance, SMO training, oracle simulation, clip extraction,
-// tracing-span overhead (disabled vs enabled), and the PR-8 hot-kernel
-// pairs (scalar oracle vs dispatched SIMD path).
+// tracing-span overhead (disabled vs enabled), the hot-kernel
+// pairs (scalar oracle vs dispatched SIMD path), and the detector
+// fingerprint behind every cached verdict key.
 //
 // `--json-out BENCH_hotpath.json` switches to a hand-timed mode that
 // measures each scalar/dispatched kernel pair and emits one
@@ -23,6 +24,7 @@
 #include "core/features.hpp"
 #include "core/mtcg.hpp"
 #include "core/topo_string.hpp"
+#include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "engine/stats.hpp"
 #include "geom/density_grid.hpp"
@@ -30,6 +32,7 @@
 #include "litho/litho.hpp"
 #include "obs/trace.hpp"
 #include "svm/kernel_ops.hpp"
+#include "svm/scaler.hpp"
 #include "svm/svm.hpp"
 
 namespace {
@@ -281,6 +284,33 @@ void BM_DecisionPacked(benchmark::State& state) {
         std::span<const double>(d.x[0].data(), d.x[0].size())));
 }
 BENCHMARK(BM_DecisionPacked)->Arg(150);
+
+// Detector::fingerprint() is the detector half of every cached verdict
+// key, computed once per cached evaluation and once per cached tile. The
+// synthetic model has `kernels` kernels of 8 support vectors each at the
+// default feature dimension (the real models run 150-450 kernels).
+core::Detector syntheticDetector(std::size_t kernels) {
+  core::Detector det;
+  const svm::Dataset d = kernelDataset(8, det.params.features.dim());
+  svm::Scaler scaler;
+  scaler.fit(d.x);
+  det.kernels.resize(kernels);
+  for (core::KernelEntry& k : det.kernels) {
+    k.scaler = scaler;
+    k.model = svm::SvmModel(std::vector<svm::FeatureVector>(d.x),
+                            std::vector<double>(d.size(), 0.25), 0.1, 0.01);
+  }
+  return det;
+}
+
+void BM_DetectorFingerprint(benchmark::State& state) {
+  const core::Detector det = syntheticDetector(std::size_t(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(det.fingerprint());
+}
+BENCHMARK(BM_DetectorFingerprint)
+    ->Arg(150)
+    ->Arg(450)
+    ->Unit(benchmark::kMicrosecond);
 
 // --------------------------------------------------------------------------
 // Hand-timed --json-out mode: BENCH_hotpath.json for bench/run_benches.sh.

@@ -1,10 +1,12 @@
 #include "core/evaluator.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -83,12 +85,14 @@ struct EvalStages {
 /// runs, "" monolithic). The verdict cache key keeps the canonical
 /// kVerdictStage hash either way — content hashes are translation
 /// invariant, so tiled and monolithic runs (and different tiles) share
-/// one verdict cache.
+/// one verdict cache. The stages must run on `ctx`: the verdict config
+/// (a walk over the whole model) is computed only when it has a cache.
 EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
-                          const EvalParams& p,
+                          const EvalParams& p, const engine::RunContext& ctx,
                           const std::string& prefix = {}) {
   EvalStages s;
-  const std::uint64_t cfg = verdictConfig(det, p);
+  const std::uint64_t cfg =
+      ctx.cache() != nullptr ? verdictConfig(det, p) : 0;
   const std::string cacheName = prefix + "eval/verdict";
   s.clip = engine::Stage<ClipWindow, EvalItem>{
       prefix + "eval/clip",
@@ -287,7 +291,7 @@ EvalResult evaluateCandidates(const Detector& det, const GridIndex& index,
   res.candidateClips = candidates.size();
 
   const LayerIndex layers{{det.params.layer, &index}};
-  EvalStages s = makeEvalStages(det, layers, p);
+  EvalStages s = makeEvalStages(det, layers, p, ctx);
   std::vector<ClipWindow> hits = engine::runPipeline(
       ctx, candidates, s.clip, s.features, s.kernels, s.feedback);
   return finishEval(index, std::move(hits), p, ctx, std::move(res), t0);
@@ -320,6 +324,12 @@ TiledLayout prepareTiledLayout(const Layout& layout, LayerId layer,
   t.work.reserve(buckets.size());
   for (auto& [id, owned] : buckets)
     t.work.push_back({id, std::move(owned)});
+  t.claimOrder.resize(t.work.size());
+  std::iota(t.claimOrder.begin(), t.claimOrder.end(), std::size_t{0});
+  std::stable_sort(t.claimOrder.begin(), t.claimOrder.end(),
+                   [&t](std::size_t a, std::size_t b) {
+                     return t.work[a].anchors.size() > t.work[b].anchors.size();
+                   });
   return t;
 }
 
@@ -376,7 +386,7 @@ TileEvalResult evaluateTile(const Detector& det, const TiledLayout& tiled,
         return std::move(b);
       }};
   const LayerIndex layers{{det.params.layer, &local}};
-  EvalStages s = makeEvalStages(det, layers, p, prefix);
+  EvalStages s = makeEvalStages(det, layers, p, ctx, prefix);
 
   std::vector<Point> anchors;
   anchors.reserve(w.anchors.size());
@@ -441,14 +451,18 @@ EvalResult evaluateLayoutTiled(const Detector& det, const Layout& layout,
   // whole stage chain (nested stage parallelFor runs inline), so
   // different tiles sit in different stages concurrently — extraction on
   // one tile overlaps scoring on another. tileThreads caps the fan-out
-  // by chunking consecutive tiles.
+  // by chunking consecutive tiles of the claim order (biggest first).
   const std::size_t n = tiled.work.size();
   std::vector<TileEvalResult> tiles(n);
   std::size_t grain = 1;
   if (p.tiling.tileThreads > 0 && n > p.tiling.tileThreads)
     grain = (n + p.tiling.tileThreads - 1) / p.tiling.tileThreads;
   ctx.parallelFor(
-      n, [&](std::size_t i) { tiles[i] = evaluateTile(det, tiled, i, p, ctx); },
+      n,
+      [&](std::size_t k) {
+        const std::size_t i = tiled.claimOrder[k];
+        tiles[i] = evaluateTile(det, tiled, i, p, ctx);
+      },
       grain);
   EvalResult res = finishTiledEval(tiled, std::move(tiles), p, ctx, t0);
   ctx.log(obs::LogLevel::kInfo, "core", "tiled eval done",
@@ -489,7 +503,7 @@ EvalResult evaluateLayout(const Detector& det, const Layout& layout,
         res.candidateClips += b.size();
         return std::move(b);
       }};
-  EvalStages s = makeEvalStages(det, layers, p);
+  EvalStages s = makeEvalStages(det, layers, p, ctx);
   std::vector<ClipWindow> hits = engine::runPipeline(
       ctx, candidateAnchors(index, p.extract.clip.coreSide), screen, tap,
       s.clip, s.features, s.kernels, s.feedback);

@@ -88,6 +88,12 @@ struct TiledLayout {
     std::vector<std::pair<std::uint64_t, Point>> anchors;
   };
   std::vector<Work> work;
+  /// Indices into `work`, most anchors first (ties in tile order): the
+  /// order tile fan-outs claim tiles in. Each worker runs a whole tile,
+  /// so claiming the big tiles first leaves only small ones for the end
+  /// of the pass, which bounds the time workers sit idle waiting on the
+  /// last tile. Results stay in `work` order either way.
+  std::vector<std::size_t> claimOrder;
   std::size_t anchorCount = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "geom/hashing.hpp"
@@ -453,8 +452,40 @@ FeatureParams loadFeatureParams(std::istream& is) {
   return f;
 }
 
+// The fingerprint walk: the same fields saveCore writes, in the same
+// order, each double mixed by its exact bits. Every sequence is prefixed
+// by its length so the flat stream stays unambiguous.
+std::uint64_t hashDoubles(std::uint64_t h, const std::vector<double>& v) {
+  h = hashCombine(h, hashMix(v.size()));
+  for (const double d : v) h = hashCombine(h, hashDouble(d));
+  return h;
+}
+
+std::uint64_t hashScaler(std::uint64_t h, const svm::Scaler& s) {
+  return hashDoubles(hashDoubles(h, s.mins()), s.maxs());
+}
+
+std::uint64_t hashModel(std::uint64_t h, const svm::SvmModel& m) {
+  h = hashCombine(h, hashDouble(m.gamma()));
+  h = hashCombine(h, hashDouble(m.rho()));
+  h = hashDoubles(h, m.coefficients());
+  for (const svm::FeatureVector& sv : m.supportVectors())
+    h = hashDoubles(h, sv);
+  return h;
+}
+
+std::uint64_t hashFeatureParams(std::uint64_t h, const FeatureParams& f) {
+  for (const std::size_t v : {f.maxInternal, f.maxExternal, f.maxDiagonal,
+                              f.maxSegment, f.densityGridN,
+                              std::size_t(f.canonicalize)})
+    h = hashCombine(h, hashMix(v));
+  return h;
+}
+
 }  // namespace
 
+// Detector::fingerprint() walks these same fields by hand; the
+// DetectorFingerprint tests (tests/test_model_obs.cpp) keep the two in step.
 void Detector::saveCore(std::ostream& os) const {
   os << "hsd_detector 2\n";
   os << params.clip.coreSide << ' ' << params.clip.clipSide << ' '
@@ -502,14 +533,28 @@ std::vector<std::string> Detector::clusterNames() const {
 }
 
 std::uint64_t Detector::fingerprint() const {
-  // Hash the serialized core at full double precision: any retrain, load
-  // of a different model, or parameter nudge changes some emitted byte.
-  // Cheap relative to a single window evaluation; callers compute it once
-  // per run, never per window.
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  saveCore(os);
-  return hashString(os.str());
+  // Hashes the in-memory values, never a serialized string: no allocation,
+  // and a one-ulp change to any double changes the key. Not memoized — the
+  // fields are public and mutable, so a stored value could go stale.
+  std::uint64_t h = hashString("hsd_detector/fingerprint/v1");
+  h = hashCombine(h, params.clip.fingerprint());
+  h = hashCombine(h, hashMix(params.layer));
+  h = hashFeatureParams(h, params.features);
+  h = hashFeatureParams(h, params.feedbackFeatures);
+  h = hashCombine(h, hashMix(kernels.size()));
+  for (const KernelEntry& k : kernels) {
+    h = hashCombine(h, hashMix(k.hotspotCount));
+    h = hashCombine(h, hashDouble(k.finalC));
+    h = hashCombine(h, hashDouble(k.finalGamma));
+    h = hashCombine(h, hashMix(k.selfIterations));
+    h = hashCombine(h, hashMix(k.feedbackApplies ? 1 : 0));
+    h = hashModel(hashScaler(h, k.scaler), k.model);
+  }
+  h = hashCombine(h, hashMix(hasFeedback ? 1 : 0));
+  if (hasFeedback) h = hashModel(hashScaler(h, feedbackScaler), feedbackModel);
+  h = hashCombine(h, hashMix(hasPlatt ? 1 : 0));
+  h = hashCombine(h, hashDouble(platt.a));
+  return hashCombine(h, hashDouble(platt.b));
 }
 
 Detector Detector::load(std::istream& is) {

@@ -132,17 +132,22 @@ class Detector {
   /// its literal key). Slot layout for obs::ModelStatsRecorder.
   std::vector<std::string> clusterNames() const;
 
-  /// Stable 64-bit fingerprint of everything evaluation depends on
-  /// (params, kernels, scalers, feedback and Platt models), computed by
-  /// hashing the high-precision serialized form. Used as the detector
-  /// component of stage-cache config keys: retraining or loading a
-  /// different model invalidates every cached verdict. The drift baseline
-  /// is excluded (it cannot change a verdict), so attaching or dropping
-  /// one preserves every cached verdict key.
+  /// 64-bit fingerprint of everything evaluation depends on (params,
+  /// kernels, scalers, feedback and Platt models): a hash over the exact
+  /// bits of the in-memory values, in saveCore()'s field order. Used only
+  /// as the detector component of stage-cache config keys, so retraining,
+  /// loading a different model or a one-ulp nudge invalidates every cached
+  /// verdict, while copies and save/load round trips keep it. In-memory
+  /// only: never persisted and not stable across versions. The drift
+  /// baseline, topoKey and stats are excluded (they cannot change a
+  /// verdict). A walk over the whole model (milliseconds on a model of a
+  /// few hundred kernels), so evaluation computes it only when a cache is
+  /// attached.
   std::uint64_t fingerprint() const;
 
  private:
-  /// The fingerprinted core of save(): everything except the baseline.
+  /// The core of save() that fingerprint() mirrors: everything except
+  /// the baseline.
   void saveCore(std::ostream& os) const;
 };
 

@@ -38,7 +38,6 @@
 #include "litho/opc.hpp"
 #include "par/thread_pool.hpp"
 #include "svm/dataset.hpp"
-#include "svm/model_selection.hpp"
 #include "svm/platt.hpp"
 #include "svm/scaler.hpp"
 #include "svm/svm.hpp"

@@ -374,8 +374,9 @@ core::EvalResult DetectionServer::runTiled(Request& req,
   }
 
   // Shared tile queue: every participating context claims the next
-  // un-started tile. Index-stable result slots keep the outcome
-  // independent of claim order; the merge re-sorts by anchor sequence.
+  // un-started tile, biggest first (TiledLayout::claimOrder). Index-stable
+  // result slots keep the outcome independent of claim order; the merge
+  // re-sorts by anchor sequence.
   std::vector<core::TileEvalResult> tiles(n);
   std::atomic<std::size_t> next{0};
   std::atomic<bool> abort{false};
@@ -387,8 +388,9 @@ core::EvalResult DetectionServer::runTiled(Request& req,
     const obs::ScopedTraceId traceScope(c.traceId());
     for (;;) {
       if (abort.load(std::memory_order_relaxed)) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= n) return;
+      const std::size_t i = tiled.claimOrder[k];
       try {
         tiles[i] = core::evaluateTile(*req.det, tiled, i, req.params, c);
       } catch (...) {

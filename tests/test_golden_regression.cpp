@@ -42,6 +42,11 @@ struct GoldenCase {
   tests::FixtureSpec spec;
 };
 
+// gtest puts the printed parameter into every registered test name. Its
+// default byte dump would include the `name` pointer, which address-space
+// randomisation moves on every run, so the test names would change too.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
 // Two different seeds so a regression that happens to cancel out on one
 // arrangement still trips on the other.
 const GoldenCase kCases[] = {

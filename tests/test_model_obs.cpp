@@ -16,6 +16,9 @@
 //    through Detector::save/load (including cluster-name recovery, since
 //    topoKey is not serialized), never perturbs fingerprint(), and a
 //    garbage trailer is rejected;
+//  - Detector::fingerprint() follows saveCore(): every serialized field
+//    group moves it by a one-ulp/one-unit nudge, the baseline, topoKey
+//    and stats do not, and copies and save/load round trips keep it;
 //  - DriftScorer: steady traffic scores ~0 PSI, a shifted distribution
 //    flips past the threshold, the rolling window selects the newest
 //    sample at least windowSeconds old (boundary inclusive), the sample
@@ -33,12 +36,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -52,6 +57,8 @@
 #include "obs/metrics.hpp"
 #include "obs/model_stats.hpp"
 #include "serve/server.hpp"
+#include "svm/scaler.hpp"
+#include "svm/svm.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps it.
@@ -545,6 +552,190 @@ TEST(DetectorBaseline, LoadRejectsAGarbageTrailer) {
   stripped.save(ss);
   ss << "garbage 1 2\n";
   EXPECT_THROW(core::Detector::load(ss), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Detector::fingerprint() is a hand-written walk over the fields saveCore()
+// serializes. Nudging any field group by one ulp or one unit must change
+// it, the unserialized fields must not, and copies and save/load round
+// trips must keep it — this keeps the walk in step with the serializer.
+
+double ulpUp(double v) {
+  return std::nextafter(v, std::numeric_limits<double>::infinity());
+}
+
+/// `m` rebuilt after `edit` touched its construction-only fields.
+template <typename Edit>
+svm::SvmModel editedModel(const svm::SvmModel& m, Edit edit) {
+  std::vector<svm::FeatureVector> sv = m.supportVectors();
+  std::vector<double> coef = m.coefficients();
+  double rho = m.rho();
+  double gamma = m.gamma();
+  edit(sv, coef, rho, gamma);
+  return svm::SvmModel(std::move(sv), std::move(coef), rho, gamma);
+}
+
+svm::Scaler minsNudged(const svm::Scaler& s) {
+  std::vector<double> lo = s.mins();
+  lo.back() = ulpUp(lo.back());
+  return svm::Scaler(std::move(lo), s.maxs());
+}
+
+svm::Scaler maxsNudged(const svm::Scaler& s) {
+  std::vector<double> hi = s.maxs();
+  hi.back() = ulpUp(hi.back());
+  return svm::Scaler(s.mins(), std::move(hi));
+}
+
+using DetectorEdit =
+    std::pair<std::string, std::function<void(core::Detector&)>>;
+
+/// One edit per field group saveCore() writes. Kernel edits touch the last
+/// kernel so the walk must cover every kernel, not just the first.
+std::vector<DetectorEdit> serializedFieldEdits() {
+  using D = core::Detector;
+  std::vector<DetectorEdit> e = {
+      {"clip.coreSide", [](D& d) { d.params.clip.coreSide += 1; }},
+      {"clip.clipSide", [](D& d) { d.params.clip.clipSide += 1; }},
+      {"layer", [](D& d) { d.params.layer += 1; }},
+      {"kernel count", [](D& d) { d.kernels.pop_back(); }},
+      {"hotspotCount", [](D& d) { d.kernels.back().hotspotCount += 1; }},
+      {"finalC",
+       [](D& d) { d.kernels.back().finalC = ulpUp(d.kernels.back().finalC); }},
+      {"finalGamma",
+       [](D& d) {
+         d.kernels.back().finalGamma = ulpUp(d.kernels.back().finalGamma);
+       }},
+      {"selfIterations", [](D& d) { d.kernels.back().selfIterations += 1; }},
+      {"feedbackApplies",
+       [](D& d) {
+         d.kernels.back().feedbackApplies = !d.kernels.back().feedbackApplies;
+       }},
+      {"scaler mins",
+       [](D& d) {
+         d.kernels.back().scaler = minsNudged(d.kernels.back().scaler);
+       }},
+      {"scaler maxs",
+       [](D& d) {
+         d.kernels.back().scaler = maxsNudged(d.kernels.back().scaler);
+       }},
+      {"sv coefficient",
+       [](D& d) {
+         d.kernels.back().model = editedModel(
+             d.kernels.back().model, [](auto&, auto& coef, double&, double&) {
+               coef.back() = ulpUp(coef.back());
+             });
+       }},
+      {"sv entry",
+       [](D& d) {
+         d.kernels.back().model = editedModel(
+             d.kernels.back().model, [](auto& sv, auto&, double&, double&) {
+               sv.back().back() = ulpUp(sv.back().back());
+             });
+       }},
+      {"rho",
+       [](D& d) {
+         d.kernels.back().model = editedModel(
+             d.kernels.back().model,
+             [](auto&, auto&, double& rho, double&) { rho = ulpUp(rho); });
+       }},
+      {"gamma",
+       [](D& d) {
+         d.kernels.back().model = editedModel(
+             d.kernels.back().model,
+             [](auto&, auto&, double&, double& g) { g = ulpUp(g); });
+       }},
+      {"hasFeedback", [](D& d) { d.hasFeedback = false; }},
+      {"feedback scaler",
+       [](D& d) { d.feedbackScaler = maxsNudged(d.feedbackScaler); }},
+      {"feedback model",
+       [](D& d) {
+         d.feedbackModel = editedModel(
+             d.feedbackModel, [](auto&, auto& coef, double&, double&) {
+               coef.front() = ulpUp(coef.front());
+             });
+       }},
+      {"hasPlatt", [](D& d) { d.hasPlatt = !d.hasPlatt; }},
+      {"platt.a", [](D& d) { d.platt.a = ulpUp(d.platt.a); }},
+      {"platt.b", [](D& d) { d.platt.b = ulpUp(d.platt.b); }},
+  };
+  // Both FeatureParams, every field.
+  using FP = core::FeatureParams;
+  const std::pair<const char*, std::size_t FP::*> counts[] = {
+      {"maxInternal", &FP::maxInternal}, {"maxExternal", &FP::maxExternal},
+      {"maxDiagonal", &FP::maxDiagonal}, {"maxSegment", &FP::maxSegment},
+      {"densityGridN", &FP::densityGridN}};
+  const std::pair<const char*, FP core::TrainParams::*> groups[] = {
+      {"features.", &core::TrainParams::features},
+      {"feedbackFeatures.", &core::TrainParams::feedbackFeatures}};
+  for (const auto& group : groups) {
+    const auto fp = group.second;
+    for (const auto& count : counts) {
+      const auto field = count.second;
+      e.push_back({std::string(group.first) + count.first,
+                   [fp, field](D& d) { (d.params.*fp).*field += 1; }});
+    }
+    e.push_back({std::string(group.first) + "canonicalize", [fp](D& d) {
+                   (d.params.*fp).canonicalize = !(d.params.*fp).canonicalize;
+                 }});
+  }
+  return e;
+}
+
+TEST(DetectorFingerprint, EverySerializedFieldGroupChangesIt) {
+  core::Detector det = fx().detector;
+  ASSERT_GE(det.kernels.size(), 2u);
+  // The fixture trains no feedback kernel (no self-evaluation extras);
+  // borrow the first kernel's so the feedback walk is covered too.
+  if (!det.hasFeedback) {
+    det.hasFeedback = true;
+    det.feedbackScaler = det.kernels.front().scaler;
+    det.feedbackModel = det.kernels.front().model;
+  }
+  const std::uint64_t base = det.fingerprint();
+  for (const auto& [name, edit] : serializedFieldEdits()) {
+    SCOPED_TRACE(name);
+    core::Detector d = det;
+    edit(d);
+    EXPECT_NE(d.fingerprint(), base);
+  }
+}
+
+TEST(DetectorFingerprint, UnserializedFieldsLeaveItUnchanged) {
+  const core::Detector& det = fx().detector;
+  ASSERT_TRUE(det.hasBaseline);
+  const std::uint64_t base = det.fingerprint();
+  const std::vector<DetectorEdit> edits = {
+      {"hasBaseline", [](core::Detector& d) { d.hasBaseline = false; }},
+      {"baseline counts",
+       [](core::Detector& d) { d.baseline.clusters.front().hot += 1; }},
+      {"topoKey", [](core::Detector& d) { d.kernels.front().topoKey += "x"; }},
+      {"stats", [](core::Detector& d) {
+         d.stats.rawHotspots += 1;
+         d.stats.trainSeconds += 1.0;
+       }}};
+  for (const auto& [name, edit] : edits) {
+    SCOPED_TRACE(name);
+    core::Detector d = det;
+    edit(d);
+    EXPECT_EQ(d.fingerprint(), base);
+  }
+}
+
+TEST(DetectorFingerprint, CopiesAndSaveLoadRoundTripsKeepIt) {
+  const core::Detector& det = fx().detector;
+  const std::uint64_t base = det.fingerprint();
+  EXPECT_EQ(det.fingerprint(), base);  // a pure function of the values
+  const core::Detector copy = det;
+  EXPECT_EQ(copy.fingerprint(), base);
+
+  std::stringstream first;
+  det.save(first);
+  const core::Detector loaded = core::Detector::load(first);
+  EXPECT_EQ(loaded.fingerprint(), base);
+  std::stringstream second;
+  loaded.save(second);
+  EXPECT_EQ(core::Detector::load(second).fingerprint(), base);
 }
 
 // ---------------------------------------------------------------------------

@@ -112,12 +112,12 @@ TEST(HttpServer, RoutesRequestsAndParsesQueryParams) {
   server.start();
   ASSERT_NE(server.port(), 0);
 
-  const HttpGetResult plain = httpGet("127.0.0.1", server.port(), "/hello");
+  const HttpResult plain = httpGet("127.0.0.1", server.port(), "/hello");
   EXPECT_EQ(plain.status, 200);
   EXPECT_EQ(plain.body, "hello anonymous\n");
   EXPECT_NE(plain.contentType.find("text/plain"), std::string::npos);
 
-  const HttpGetResult q =
+  const HttpResult q =
       httpGet("127.0.0.1", server.port(), "/hello?name=world&x=1");
   EXPECT_EQ(q.status, 200);
   EXPECT_EQ(q.body, "hello world\n");
@@ -132,7 +132,7 @@ TEST(HttpServer, UnknownPathGets404ListingEndpoints) {
     return HttpResponse::text(200, "b");
   });
   server.start();
-  const HttpGetResult res = httpGet("127.0.0.1", server.port(), "/missing");
+  const HttpResult res = httpGet("127.0.0.1", server.port(), "/missing");
   EXPECT_EQ(res.status, 404);
   EXPECT_NE(res.body.find("/missing"), std::string::npos);
   EXPECT_NE(res.body.find("/a"), std::string::npos);
@@ -159,7 +159,7 @@ TEST(HttpServer, HandlerExceptionBecomes500) {
     throw std::runtime_error("kaboom");
   });
   server.start();
-  const HttpGetResult res = httpGet("127.0.0.1", server.port(), "/boom");
+  const HttpResult res = httpGet("127.0.0.1", server.port(), "/boom");
   EXPECT_EQ(res.status, 500);
   EXPECT_NE(res.body.find("kaboom"), std::string::npos);
 }
@@ -470,7 +470,7 @@ TEST(AdminServer, ServesAllEndpointsWithSelfMetrics) {
   admin.start();
   ASSERT_NE(admin.port(), 0);
 
-  const HttpGetResult index = httpGet("127.0.0.1", admin.port(), "/");
+  const HttpResult index = httpGet("127.0.0.1", admin.port(), "/");
   EXPECT_EQ(index.status, 200);
   for (const char* ep : {"/healthz", "/readyz", "/metrics", "/statsz",
                          "/tracez"})
@@ -479,7 +479,7 @@ TEST(AdminServer, ServesAllEndpointsWithSelfMetrics) {
   EXPECT_EQ(httpGet("127.0.0.1", admin.port(), "/healthz").body, "ok\n");
   EXPECT_EQ(httpGet("127.0.0.1", admin.port(), "/readyz").body, "ready\n");
 
-  const HttpGetResult metrics =
+  const HttpResult metrics =
       httpGet("127.0.0.1", admin.port(), "/metrics");
   EXPECT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.contentType.find("version=0.0.4"), std::string::npos);
@@ -494,14 +494,14 @@ TEST(AdminServer, ServesAllEndpointsWithSelfMetrics) {
       std::string::npos)
       << metrics.body;
 
-  const HttpGetResult statsz = httpGet("127.0.0.1", admin.port(), "/statsz");
+  const HttpResult statsz = httpGet("127.0.0.1", admin.port(), "/statsz");
   EXPECT_EQ(statsz.status, 200);
   EXPECT_NE(statsz.contentType.find("application/json"), std::string::npos);
   EXPECT_TRUE(parsesAsJson(statsz.body)) << statsz.body;
   EXPECT_NE(statsz.body.find("\"demo\": {\"n\": 1}"), std::string::npos);
   EXPECT_NE(statsz.body.find("\"uptimeSeconds\""), std::string::npos);
 
-  const HttpGetResult tracez = httpGet("127.0.0.1", admin.port(), "/tracez");
+  const HttpResult tracez = httpGet("127.0.0.1", admin.port(), "/tracez");
   EXPECT_EQ(tracez.status, 200);
   EXPECT_TRUE(parsesAsJson(tracez.body)) << tracez.body;
   EXPECT_NE(tracez.body.find("\"enabled\": true"), std::string::npos);
@@ -531,7 +531,7 @@ TEST(AdminServer, ThrowingStatsProviderDegradesToErrorObject) {
     throw std::runtime_error("provider down");
   });
   admin.start();
-  const HttpGetResult res = httpGet("127.0.0.1", admin.port(), "/statsz");
+  const HttpResult res = httpGet("127.0.0.1", admin.port(), "/statsz");
   EXPECT_EQ(res.status, 200);  // a broken provider never fails the scrape
   EXPECT_TRUE(parsesAsJson(res.body)) << res.body;
   EXPECT_NE(res.body.find("\"good\": 7"), std::string::npos);
@@ -546,7 +546,7 @@ TEST(AdminServer, TracezHonorsLimitAndReportsDisabledWithoutTracer) {
   obs::AdminServer admin;
   admin.setTracer(tracer);
   admin.start();
-  const HttpGetResult limited =
+  const HttpResult limited =
       httpGet("127.0.0.1", admin.port(), "/tracez?limit=3");
   EXPECT_TRUE(parsesAsJson(limited.body)) << limited.body;
   EXPECT_NE(limited.body.find("\"spanCount\": 10"), std::string::npos);
@@ -556,7 +556,7 @@ TEST(AdminServer, TracezHonorsLimitAndReportsDisabledWithoutTracer) {
 
   obs::AdminServer bare;
   bare.start();
-  const HttpGetResult off = httpGet("127.0.0.1", bare.port(), "/tracez");
+  const HttpResult off = httpGet("127.0.0.1", bare.port(), "/tracez");
   EXPECT_EQ(off.status, 200);
   EXPECT_TRUE(parsesAsJson(off.body)) << off.body;
   EXPECT_NE(off.body.find("\"enabled\": false"), std::string::npos);
@@ -572,7 +572,7 @@ TEST(AdminServer, SnapshotEndpointsRejectJunkQueryParams) {
   for (const char* target :
        {"/tracez?limit=abc", "/tracez?limit=-1", "/tracez?limit=0",
         "/tracez?limit=3x", "/logz?limit=abc", "/logz?limit=0"}) {
-    const HttpGetResult res = httpGet("127.0.0.1", admin.port(), target);
+    const HttpResult res = httpGet("127.0.0.1", admin.port(), target);
     EXPECT_EQ(res.status, 400) << target;
     EXPECT_NE(res.body.find("limit"), std::string::npos) << target;
   }
@@ -610,7 +610,7 @@ TEST(AdminServer, TracezFiltersBySpanTraceId) {
   obs::AdminServer admin;
   admin.setTracer(tracer);
   admin.start();
-  const HttpGetResult res = httpGet(
+  const HttpResult res = httpGet(
       "127.0.0.1", admin.port(), "/tracez?trace=" + obs::formatTraceId(wanted));
   EXPECT_EQ(res.status, 200);
   EXPECT_TRUE(parsesAsJson(res.body)) << res.body;
@@ -637,7 +637,7 @@ TEST(AdminServer, LogzServesJsonLinesWithLevelAndTraceFilters) {
   admin.setLog(log);
   admin.start();
 
-  const HttpGetResult all = httpGet("127.0.0.1", admin.port(), "/logz");
+  const HttpResult all = httpGet("127.0.0.1", admin.port(), "/logz");
   EXPECT_EQ(all.status, 200);
   EXPECT_NE(all.contentType.find("application/x-ndjson"), std::string::npos);
   // Meta line first, then one record per line; every line parses alone.
@@ -655,14 +655,14 @@ TEST(AdminServer, LogzServesJsonLinesWithLevelAndTraceFilters) {
   EXPECT_NE(all.body.find("\"minLevel\": \"debug\""), std::string::npos);
 
   // ?level= is a floor: warn admits warn and error.
-  const HttpGetResult warns =
+  const HttpResult warns =
       httpGet("127.0.0.1", admin.port(), "/logz?level=warn");
   EXPECT_NE(warns.body.find("\"returnedRecords\": 2"), std::string::npos);
   EXPECT_EQ(countOccurrences(warns.body, "routine"), 0);
   EXPECT_EQ(countOccurrences(warns.body, "trouble"), 1);
 
   // ?trace= narrows to one request's records.
-  const HttpGetResult traced = httpGet(
+  const HttpResult traced = httpGet(
       "127.0.0.1", admin.port(), "/logz?trace=" + obs::formatTraceId(wanted));
   EXPECT_NE(traced.body.find("\"returnedRecords\": 2"), std::string::npos);
   EXPECT_NE(traced.body.find("\"trace\": \"" + obs::formatTraceId(wanted) + "\""),
@@ -670,7 +670,7 @@ TEST(AdminServer, LogzServesJsonLinesWithLevelAndTraceFilters) {
   EXPECT_EQ(countOccurrences(traced.body, "routine"), 0);
 
   // ?limit= keeps the most recent records.
-  const HttpGetResult limited =
+  const HttpResult limited =
       httpGet("127.0.0.1", admin.port(), "/logz?limit=1");
   EXPECT_NE(limited.body.find("\"returnedRecords\": 1"), std::string::npos);
   EXPECT_EQ(countOccurrences(limited.body, "boom"), 1);
@@ -679,7 +679,7 @@ TEST(AdminServer, LogzServesJsonLinesWithLevelAndTraceFilters) {
   // Without a recorder the endpoint stays up and says so.
   obs::AdminServer bare;
   bare.start();
-  const HttpGetResult off = httpGet("127.0.0.1", bare.port(), "/logz");
+  const HttpResult off = httpGet("127.0.0.1", bare.port(), "/logz");
   EXPECT_EQ(off.status, 200);
   EXPECT_NE(off.body.find("\"enabled\": false"), std::string::npos);
 }
@@ -693,23 +693,23 @@ TEST(AdminServer, SlozAndStatszCarryTheSloSection) {
   obs::AdminServer admin;
   admin.setSlo(slo);
   admin.start();
-  const HttpGetResult sloz = httpGet("127.0.0.1", admin.port(), "/sloz");
+  const HttpResult sloz = httpGet("127.0.0.1", admin.port(), "/sloz");
   EXPECT_EQ(sloz.status, 200);
   EXPECT_TRUE(parsesAsJson(sloz.body)) << sloz.body;
   EXPECT_NE(sloz.body.find("\"enabled\": true"), std::string::npos);
   EXPECT_NE(sloz.body.find("\"availabilityTarget\""), std::string::npos);
   EXPECT_NE(sloz.body.find("\"windows\""), std::string::npos);
-  const HttpGetResult statsz = httpGet("127.0.0.1", admin.port(), "/statsz");
+  const HttpResult statsz = httpGet("127.0.0.1", admin.port(), "/statsz");
   EXPECT_TRUE(parsesAsJson(statsz.body)) << statsz.body;
   EXPECT_NE(statsz.body.find("\"slo\": {"), std::string::npos);
   admin.stop();
 
   obs::AdminServer bare;
   bare.start();
-  const HttpGetResult off = httpGet("127.0.0.1", bare.port(), "/sloz");
+  const HttpResult off = httpGet("127.0.0.1", bare.port(), "/sloz");
   EXPECT_EQ(off.status, 200);
   EXPECT_NE(off.body.find("\"enabled\": false"), std::string::npos);
-  const HttpGetResult plainStats =
+  const HttpResult plainStats =
       httpGet("127.0.0.1", bare.port(), "/statsz");
   EXPECT_EQ(plainStats.body.find("\"slo\""), std::string::npos);
 }
@@ -725,7 +725,7 @@ TEST(AdminServer, ReadyzDegradedDetailNamesEveryHook) {
   EXPECT_EQ(httpGet("127.0.0.1", admin.port(), "/readyz").body, "unready\n");
   // The detail view carries the same status code with a JSON body naming
   // each hook, plus the SLO burn status when a tracker is mounted.
-  const HttpGetResult down =
+  const HttpResult down =
       httpGet("127.0.0.1", admin.port(), "/readyz?degraded");
   EXPECT_EQ(down.status, 503);
   EXPECT_TRUE(parsesAsJson(down.body)) << down.body;
@@ -738,7 +738,7 @@ TEST(AdminServer, ReadyzDegradedDetailNamesEveryHook) {
   EXPECT_NE(down.body.find("\"degraded\": false"), std::string::npos);
   EXPECT_NE(down.body.find("\"slo\""), std::string::npos);
   accepting.store(true);
-  const HttpGetResult up =
+  const HttpResult up =
       httpGet("127.0.0.1", admin.port(), "/readyz?degraded");
   EXPECT_EQ(up.status, 200);
   EXPECT_NE(up.body.find("\"ready\": true"), std::string::npos);
@@ -809,7 +809,7 @@ TEST(AdminServer, ConcurrentScrapesDuringDetectionTrafficAllParse) {
       for (int round = 0; round < kRounds; ++round) {
         const std::string target(targets[round % 4]);
         try {
-          const HttpGetResult res = httpGet("127.0.0.1", port, target);
+          const HttpResult res = httpGet("127.0.0.1", port, target);
           bool good = res.status == 200;
           if (target == "/metrics")
             good = good && res.body.find(
@@ -834,7 +834,7 @@ TEST(AdminServer, ConcurrentScrapesDuringDetectionTrafficAllParse) {
   server.shutdown();
   EXPECT_EQ(httpGet("127.0.0.1", port, "/readyz").status, 503);
   EXPECT_EQ(httpGet("127.0.0.1", port, "/healthz").status, 200);
-  const HttpGetResult finalStats = httpGet("127.0.0.1", port, "/statsz");
+  const HttpResult finalStats = httpGet("127.0.0.1", port, "/statsz");
   EXPECT_TRUE(parsesAsJson(finalStats.body)) << finalStats.body;
   EXPECT_NE(finalStats.body.find("\"submitted\": 6"), std::string::npos);
 }

@@ -6,12 +6,14 @@
 //     cache must hit on every unchanged window and return byte-identical
 //     reports to a cold run (threads=1 and threads=8); a single-rect edit
 //     invalidates only the windows that see the rect; a parameter change
-//     invalidates the verdict cache but not the screen cache; a tiny
-//     capacity evicts without ever changing results.
+//     or a one-ulp model change invalidates the verdict cache but not the
+//     screen cache; a tiny capacity evicts without ever changing results.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "engine/cache.hpp"
 #include "engine/run_context.hpp"
 #include "layout/layout.hpp"
+#include "svm/svm.hpp"
 
 namespace hsd::engine {
 namespace {
@@ -153,10 +156,11 @@ const tests::DetectorFixture& fx() { return tests::detectorFixture(); }
 
 core::EvalResult evalWith(std::shared_ptr<StageCache> cache,
                           const Layout& layout, const core::EvalParams& p,
-                          std::size_t threads) {
+                          std::size_t threads,
+                          const core::Detector& det = fx().detector) {
   RunContext ctx(threads);
   if (cache) ctx.attachCache(std::move(cache));
-  return core::evaluateLayout(fx().detector, layout, p, ctx);
+  return core::evaluateLayout(det, layout, p, ctx);
 }
 
 // Same as evalWith but reports the context's cache counters.
@@ -168,11 +172,12 @@ struct CountedRun {
 };
 
 CountedRun countedEval(std::shared_ptr<StageCache> cache, const Layout& layout,
-                       const core::EvalParams& p, std::size_t threads) {
+                       const core::EvalParams& p, std::size_t threads,
+                       const core::Detector& det = fx().detector) {
   RunContext ctx(threads);
   if (cache) ctx.attachCache(std::move(cache));
   CountedRun run;
-  run.result = core::evaluateLayout(fx().detector, layout, p, ctx);
+  run.result = core::evaluateLayout(det, layout, p, ctx);
   run.screen = ctx.stats().cache("extract/screen");
   run.verdict = ctx.stats().cache("eval/verdict");
   run.statsJson = ctx.stats().toJson();
@@ -279,6 +284,33 @@ TEST(StageCacheEval, ParameterChangeInvalidatesVerdictsNotScreening) {
 
   // And the biased cached run matches a biased uncached run.
   const core::EvalResult fresh = evalWith(nullptr, fx().test.layout, biased, 2);
+  EXPECT_EQ(tests::canonicalReport(warm.result), tests::canonicalReport(fresh));
+}
+
+TEST(StageCacheEval, ModelChangeInvalidatesEveryVerdict) {
+  const core::EvalParams p;
+  auto cache = std::make_shared<StageCache>();
+  const CountedRun cold = countedEval(cache, fx().test.layout, p, 2);
+  ASSERT_GT(cold.verdict.misses, 0u);
+
+  // One support-vector coefficient one ulp up is a different model: none
+  // of the original's verdicts may be served to it. Screening does not
+  // depend on the model, so it still hits.
+  core::Detector nudged = fx().detector;
+  const svm::SvmModel& m = nudged.kernels.front().model;
+  std::vector<double> coef = m.coefficients();
+  coef.front() =
+      std::nextafter(coef.front(), std::numeric_limits<double>::infinity());
+  nudged.kernels.front().model =
+      svm::SvmModel(m.supportVectors(), std::move(coef), m.rho(), m.gamma());
+  const CountedRun warm = countedEval(cache, fx().test.layout, p, 2, nudged);
+  EXPECT_EQ(warm.verdict.hits, 0u);
+  EXPECT_GT(warm.verdict.misses, 0u);
+  EXPECT_EQ(warm.screen.misses, 0u);
+
+  // And the nudged model's cached run matches its uncached run.
+  const core::EvalResult fresh =
+      evalWith(nullptr, fx().test.layout, p, 2, nudged);
   EXPECT_EQ(tests::canonicalReport(warm.result), tests::canonicalReport(fresh));
 }
 

@@ -326,6 +326,25 @@ TEST(TiledEval, EmptyTilesAreSkippedAndHarmless) {
   EXPECT_EQ(t1.candidateClips, mono.candidateClips);
 }
 
+TEST(TiledEval, ClaimOrderTakesBiggestTilesFirst) {
+  const core::TiledLayout tiled = core::prepareTiledLayout(
+      fx().test.layout, fx().detector.params.layer, tiledParams(6000));
+  ASSERT_GT(tiled.work.size(), 2u);
+  ASSERT_EQ(tiled.claimOrder.size(), tiled.work.size());
+  std::vector<bool> seen(tiled.work.size(), false);
+  for (std::size_t k = 0; k < tiled.claimOrder.size(); ++k) {
+    const std::size_t i = tiled.claimOrder[k];
+    ASSERT_LT(i, tiled.work.size());
+    EXPECT_FALSE(seen[i]) << "work index " << i << " claimed twice";
+    seen[i] = true;
+    if (k == 0) continue;
+    const std::size_t prev = tiled.claimOrder[k - 1];
+    EXPECT_GE(tiled.work[prev].anchors.size(), tiled.work[i].anchors.size());
+    if (tiled.work[prev].anchors.size() == tiled.work[i].anchors.size())
+      EXPECT_LT(prev, i) << "ties keep tile order";
+  }
+}
+
 TEST(TiledEval, EmptyLayoutYieldsNothing) {
   const Layout empty;
   const core::EvalResult res = runEval(empty, tiledParams(4000), 2);
