@@ -2,8 +2,10 @@
 // string encoding, canonical keys, MTCG construction, feature extraction,
 // density distance, SMO training, oracle simulation, clip extraction,
 // tracing-span overhead (disabled vs enabled), the hot-kernel
-// pairs (scalar oracle vs dispatched SIMD path), and the detector
-// fingerprint behind every cached verdict key.
+// pairs (scalar oracle vs dispatched SIMD path), the detector
+// fingerprint behind every cached verdict key, the clip-major vs
+// kernel-major OR vote, and eight-transform vs one-encode canonical
+// orientation.
 //
 // `--json-out BENCH_hotpath.json` switches to a hand-timed mode that
 // measures each scalar/dispatched kernel pair and emits one
@@ -311,6 +313,118 @@ BENCHMARK(BM_DetectorFingerprint)
     ->Arg(150)
     ->Arg(450)
     ->Unit(benchmark::kMicrosecond);
+
+// Multiple-kernel OR vote, clip-major (the loop eval/svm ran before: one
+// clip scaled and scored against each kernel in turn) vs kernel-major
+// (Detector::voteCores: each kernel scores a chunk of open clips at once).
+// The synthetic model has the benchmark3 shape: 431 kernels of 9 support
+// vectors at dimension 125; rho is set so no clip flags, and every clip
+// pays all 431 kernels — the unflagged majority of real traffic.
+core::Detector voteDetector() {
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  core::Detector det;
+  det.kernels.resize(431);
+  for (core::KernelEntry& k : det.kernels) {
+    std::vector<svm::FeatureVector> sv(9, svm::FeatureVector(125));
+    for (auto& v : sv)
+      for (double& e : v) e = u(rng);
+    k.scaler.fit(sv);
+    k.model = svm::SvmModel(sv, std::vector<double>(sv.size(), 0.1), 10.0,
+                            0.02);
+  }
+  return det;
+}
+
+std::vector<svm::FeatureVector> voteQueries(std::size_t n) {
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<double> u(-0.2, 1.2);
+  std::vector<svm::FeatureVector> out(n, svm::FeatureVector(125));
+  for (auto& v : out)
+    for (double& e : v) e = u(rng);
+  return out;
+}
+
+void BM_ScoreKernels(benchmark::State& state) {
+  const bool kernelMajor = state.range(0) != 0;
+  const core::Detector det = voteDetector();
+  const std::vector<svm::FeatureVector> feats = voteQueries(64);
+  std::vector<const svm::FeatureVector*> ptrs;
+  for (const auto& f : feats) ptrs.push_back(&f);
+  std::vector<core::KernelVote> votes(feats.size());
+  std::vector<double> x(125);
+  for (auto _ : state) {
+    if (kernelMajor) {
+      det.voteCores(ptrs, 0.0, votes);
+    } else {
+      for (std::size_t i = 0; i < feats.size(); ++i) {
+        core::KernelVote& v = votes[i];
+        v = {};
+        for (std::size_t k = 0; k < det.kernels.size(); ++k) {
+          det.kernels[k].scaler.transformIntoScalar(feats[i], x.data());
+          const double d = det.kernels[k].model.decisionFrom(x);
+          if (d > 0.0) {
+            v = {true, k, d};
+            break;
+          }
+          if (k == 0 || d > v.margin) v = {false, k, d};
+        }
+      }
+    }
+    benchmark::DoNotOptimize(votes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(feats.size()));
+}
+BENCHMARK(BM_ScoreKernels)
+    ->ArgName("kernel_major")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// Canonical orientation: the eight-transform definition (transform,
+// encode and serialize every orientation) vs canonicalOrient's one
+// encoding, on a core-sized (1.2 um) and a clip-sized (4.8 um) pattern.
+Orient eightTransformOrient(const core::CorePattern& p) {
+  std::string bestKey;
+  std::vector<Rect> bestRects;
+  Orient bestO = Orient::R0;
+  bool first = true;
+  for (const Orient o : kAllOrients) {
+    core::CorePattern t = p.transformed(o);
+    std::string k = core::serializeStrings(core::encodeStrings(t));
+    if (first || k < bestKey || (k == bestKey && t.rects < bestRects)) {
+      bestKey = std::move(k);
+      bestRects = std::move(t.rects);
+      bestO = o;
+      first = false;
+    }
+  }
+  return bestO;
+}
+
+core::CorePattern orientPattern(bool clipSized) {
+  if (!clipSized) return linePattern(6, 6);
+  core::CorePattern p = linePattern(24, 24);
+  for (Rect& r : p.rects) r = Rect{r.lo.x * 4, r.lo.y * 4, r.hi.x * 4, r.hi.y * 4};
+  p.w = p.h = 4800;
+  return p;
+}
+
+void BM_CanonicalOrient(benchmark::State& state) {
+  const bool oneEncode = state.range(0) != 0;
+  const core::CorePattern p = orientPattern(state.range(1) != 0);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(oneEncode ? core::canonicalOrient(p)
+                                       : eightTransformOrient(p));
+}
+BENCHMARK(BM_CanonicalOrient)
+    ->ArgNames({"one_encode", "clip_sized"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
 
 // --------------------------------------------------------------------------
 // Hand-timed --json-out mode: BENCH_hotpath.json for bench/run_benches.sh.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -139,59 +138,51 @@ EvalStages makeEvalStages(const Detector& det, const LayerIndex& layers,
         obs::ModelStatsRecorder* const ms = ctx.modelStats();
         const Coord half = det.params.clip.coreSide / 2;
         std::vector<char> keep(in.size(), 0);
+        std::vector<std::size_t> open;  // items without a cached verdict
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          if (in[i].verdict >= 0)
+            keep[i] = in[i].verdict == 1;
+          else
+            open.push_back(i);
+        }
         std::atomic<std::size_t> evictions{0};
-        ctx.parallelFor(in.size(), [&](std::size_t i) {
-          EvalItem& it = in[i];
-          if (it.verdict >= 0) {
-            keep[i] = it.verdict == 1;
-            return;
-          }
-          bool flagged = false;
-          {
-            // Scale + score through arena scratch: no per-clip heap
-            // traffic in the steady state (the span hands the scaled
-            // vector straight to the packed decision kernel).
-            engine::ArenaScope scope(engine::threadScratch());
-            // Margin attribution: a flagged clip belongs to its first
-            // flagging kernel (the loop stops there regardless of the
-            // recorder, so reports stay byte-identical); an unflagged
-            // clip to the kernel with the largest decision value — the
-            // one that came closest to flagging it.
-            std::size_t bestK = 0;
-            double bestD = -std::numeric_limits<double>::infinity();
-            std::size_t ki = 0;
-            for (const KernelEntry& k : det.kernels) {
-              const std::span<double> x =
-                  scope.arena().allocSpan<double>(k.scaler.dim());
-              k.scaler.transformInto(it.coreFeat, x.data());
-              const double d = k.model.decisionFrom(x);
-              if (d > bias) {
-                flagged = true;
-                bestK = ki;
-                bestD = d;
-                break;
+        // Kernel-major OR vote over chunks of kVoteChunk clips. A flagged
+        // clip's margin belongs to its first flagging kernel (the vote
+        // stops there regardless of the recorder, so reports stay
+        // byte-identical); an unflagged clip's to the kernel that came
+        // closest to flagging it.
+        ctx.parallelFor(
+            (open.size() + kVoteChunk - 1) / kVoteChunk,
+            [&](std::size_t c) {
+              const std::size_t lo = c * kVoteChunk;
+              const std::size_t n = std::min(kVoteChunk, open.size() - lo);
+              const svm::FeatureVector* feats[kVoteChunk];
+              KernelVote votes[kVoteChunk];
+              for (std::size_t j = 0; j < n; ++j)
+                feats[j] = &in[open[lo + j]].coreFeat;
+              det.voteCores({feats, n}, bias, {votes, n});
+              for (std::size_t j = 0; j < n; ++j) {
+                const std::size_t i = open[lo + j];
+                const EvalItem& it = in[i];
+                const KernelVote& v = votes[j];
+                if (ms != nullptr && !det.kernels.empty()) {
+                  ms->record(v.kernel, v.margin, v.flagged);
+                  if (ms->shouldCapture(v.margin - bias))
+                    ms->capture(v.kernel, v.margin, it.win.core.lo.x + half,
+                                it.win.core.lo.y + half,
+                                clipContentHash(it.clip));
+                }
+                if (!v.flagged && cache != nullptr) {
+                  // The final verdict is already known: the feedback
+                  // kernel can only reclaim *flagged* clips, never
+                  // promote unflagged ones.
+                  evictions.fetch_add(cache->insert(it.key, false),
+                                      std::memory_order_relaxed);
+                }
+                keep[i] = v.flagged;  // verdict stays -1: feedback decides
               }
-              if (ms != nullptr && (ki == 0 || d > bestD)) {
-                bestK = ki;
-                bestD = d;
-              }
-              ++ki;
-            }
-            if (ms != nullptr && !det.kernels.empty()) {
-              ms->record(bestK, bestD, flagged);
-              if (ms->shouldCapture(bestD - bias))
-                ms->capture(bestK, bestD, it.win.core.lo.x + half,
-                            it.win.core.lo.y + half, clipContentHash(it.clip));
-            }
-          }
-          if (!flagged && cache != nullptr) {
-            // The final verdict is already known: the feedback kernel can
-            // only reclaim *flagged* clips, never promote unflagged ones.
-            evictions.fetch_add(cache->insert(it.key, false),
-                                std::memory_order_relaxed);
-          }
-          keep[i] = flagged;  // verdict stays -1: feedback decides
-        });
+            },
+            1);
         if (cache != nullptr)
           ctx.stats().recordCache(cacheName, 0, 0, evictions);
         std::vector<EvalItem> out;

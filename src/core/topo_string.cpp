@@ -1,7 +1,8 @@
 #include "core/topo_string.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <array>
+#include <charconv>
 
 #include "geom/interval.hpp"
 #include "geom/rectset.hpp"
@@ -144,25 +145,82 @@ bool sameTopology(const CorePattern& a, const CorePattern& b) {
   return sameTopology(encodeStrings(a), encodeStrings(b));
 }
 
-std::string serializeStrings(const DirectionalStrings& s) {
-  std::ostringstream os;
-  const auto side = [&os](const std::vector<SliceCode>& v) {
-    for (const SliceCode& c : v)
-      os << std::hex << c.bits << ':' << std::dec << int(c.len) << ',';
-    os << '|';
+namespace {
+
+/// One side string as it appears in an oriented tuple: a side of the R0
+/// encoding, read forwards or with its slice sequence reversed.
+struct SideView {
+  const std::vector<SliceCode>* codes;
+  bool reversed;
+};
+using OrientedSides = std::array<SideView, 4>;  // bottom, right, top, left
+
+OrientedSides orientedSides(const DirectionalStrings& s, Orient o) {
+  const std::vector<SliceCode>* const b = &s.bottom;
+  const std::vector<SliceCode>* const r = &s.right;
+  const std::vector<SliceCode>* const t = &s.top;
+  const std::vector<SliceCode>* const l = &s.left;
+  switch (o) {
+    case Orient::R0:    return {{{b, false}, {r, false}, {t, false}, {l, false}}};
+    case Orient::R90:   return {{{l, false}, {b, false}, {r, false}, {t, false}}};
+    case Orient::R180:  return {{{t, false}, {l, false}, {b, false}, {r, false}}};
+    case Orient::R270:  return {{{r, false}, {t, false}, {l, false}, {b, false}}};
+    case Orient::MX:    return {{{t, true}, {r, true}, {b, true}, {l, true}}};
+    case Orient::MY:    return {{{b, true}, {l, true}, {t, true}, {r, true}}};
+    case Orient::MXR90: return {{{l, true}, {t, true}, {r, true}, {b, true}}};
+    case Orient::MYR90: return {{{r, true}, {b, true}, {l, true}, {t, true}}};
+  }
+  return {{{b, false}, {r, false}, {t, false}, {l, false}}};  // unreachable
+}
+
+/// serializeStrings' format ("<hex bits>:<dec len>," per code, '|' after
+/// each side) written into `out`, whose capacity is reused across calls.
+void serializeInto(const OrientedSides& sides, std::string& out) {
+  out.clear();
+  char buf[32];
+  const auto code = [&](const SliceCode& c) {
+    char* p = std::to_chars(buf, buf + sizeof(buf), c.bits, 16).ptr;
+    *p++ = ':';
+    p = std::to_chars(p, buf + sizeof(buf), int(c.len)).ptr;
+    *p++ = ',';
+    out.append(buf, p);
   };
-  side(s.bottom);
-  side(s.right);
-  side(s.top);
-  side(s.left);
-  return os.str();
+  for (const SideView& side : sides) {
+    if (side.reversed) {
+      for (auto it = side.codes->rbegin(); it != side.codes->rend(); ++it)
+        code(*it);
+    } else {
+      for (const SliceCode& c : *side.codes) code(c);
+    }
+    out.push_back('|');
+  }
+}
+
+}  // namespace
+
+std::string serializeStrings(const DirectionalStrings& s) {
+  std::string out;
+  serializeInto(orientedSides(s, Orient::R0), out);
+  return out;
+}
+
+DirectionalStrings orientStrings(const DirectionalStrings& s, Orient o) {
+  const OrientedSides sides = orientedSides(s, o);
+  const auto copy = [](const SideView& v) {
+    return v.reversed ? std::vector<SliceCode>(v.codes->rbegin(),
+                                               v.codes->rend())
+                      : *v.codes;
+  };
+  return {copy(sides[0]), copy(sides[1]), copy(sides[2]), copy(sides[3])};
 }
 
 std::string canonicalTopoKey(const CorePattern& p) {
+  const DirectionalStrings s = encodeStrings(p);
   std::string best;
+  std::string key;
   for (const Orient o : kAllOrients) {
-    std::string k = serializeStrings(encodeStrings(p.transformed(o)));
-    if (best.empty() || k < best) best = std::move(k);
+    serializeInto(orientedSides(s, o), key);
+    if (o == kAllOrients.front() || key < best) best.swap(key);
   }
   return best;
 }
@@ -172,19 +230,28 @@ Orient canonicalOrient(const CorePattern& p) {
   // itself: patterns with a topologically symmetric but dimensionally
   // asymmetric shape would otherwise canonicalize inconsistently across
   // orientations (breaking feature alignment within a cluster).
-  std::string bestKey;
-  std::vector<Rect> bestRects;
+  const DirectionalStrings s = encodeStrings(p);
+  thread_local std::string bestKey;
+  thread_local std::string key;
+  std::vector<Rect> bestRects;  // p.transformed(bestO).rects, once a tie needs it
+  bool haveBestRects = false;
   Orient bestO = Orient::R0;
-  bool first = true;
   for (const Orient o : kAllOrients) {
-    CorePattern t = p.transformed(o);
-    std::string k = serializeStrings(encodeStrings(t));
-    if (first || k < bestKey ||
-        (k == bestKey && t.rects < bestRects)) {
-      bestKey = std::move(k);
-      bestRects = std::move(t.rects);
+    serializeInto(orientedSides(s, o), key);
+    if (o == kAllOrients.front() || key < bestKey) {
+      bestKey.swap(key);
       bestO = o;
-      first = false;
+      haveBestRects = false;
+    } else if (key == bestKey) {
+      if (!haveBestRects) {
+        bestRects = p.transformed(bestO).rects;
+        haveBestRects = true;
+      }
+      std::vector<Rect> rects = p.transformed(o).rects;
+      if (rects < bestRects) {
+        bestRects = std::move(rects);
+        bestO = o;
+      }
     }
   }
   return bestO;

@@ -51,15 +51,28 @@ DirectionalStrings encodeStrings(const CorePattern& p);
 bool sameTopology(const DirectionalStrings& a, const DirectionalStrings& b);
 bool sameTopology(const CorePattern& a, const CorePattern& b);
 
+/// The strings of p.transformed(o), derived from s = encodeStrings(p)
+/// without re-encoding. Every orientation reorders the R0 tuple
+/// (b, r, t, l) — rotations rotate it, mirrors also reverse each side's
+/// slice sequence (x̄):
+///   R90 (l,b,r,t)   R180 (t,l,b,r)   R270 (r,t,l,b)
+///   MY (b̄,l̄,t̄,r̄)   MX (t̄,r̄,b̄,l̄)   MXR90 (l̄,t̄,r̄,b̄)   MYR90 (r̄,b̄,l̄,t̄)
+/// Slice codes read from their side's boundary inward, so a code itself
+/// never changes.
+DirectionalStrings orientStrings(const DirectionalStrings& s, Orient o);
+
 /// Canonical topology key: the lexicographically smallest serialization of
 /// encodeStrings over all eight orientations of `p`. Two patterns have the
 /// same key iff they have the same topology (used for hash-based
-/// clustering; property-tested against sameTopology).
+/// clustering; property-tested against sameTopology). Encodes `p` once and
+/// derives the other seven orientations with orientStrings' reordering.
 std::string canonicalTopoKey(const CorePattern& p);
 
 /// The orientation whose encoding attains the canonical key (ties broken by
-/// kAllOrients order). Feature extraction aligns all cluster members by
-/// transforming them with this orientation first.
+/// the transformed rects, then by kAllOrients order). Feature extraction
+/// aligns all cluster members by transforming them with this orientation
+/// first. Encodes once like canonicalTopoKey; transforms the rects only to
+/// break a key tie.
 Orient canonicalOrient(const CorePattern& p);
 
 /// Serialize directional strings for hashing / debugging.

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 
-#include "geom/hashing.hpp"
-
+#include "engine/arena.hpp"
 #include "engine/stats.hpp"
+#include "geom/hashing.hpp"
 
 namespace hsd::core {
 
@@ -76,6 +74,25 @@ IterativeResult iterativeTrain(const svm::Dataset& scaled,
     gamma *= 2;
   }
   return res;
+}
+
+// The OR vote (bias 0) of every vector in `feats`, kVoteChunk vectors
+// per parallel task.
+std::vector<KernelVote> voteAll(const Detector& det,
+                                const std::vector<svm::FeatureVector>& feats,
+                                engine::RunContext& ctx) {
+  std::vector<const svm::FeatureVector*> ptrs(feats.size());
+  for (std::size_t i = 0; i < feats.size(); ++i) ptrs[i] = &feats[i];
+  std::vector<KernelVote> out(feats.size());
+  ctx.parallelFor(
+      (feats.size() + kVoteChunk - 1) / kVoteChunk,
+      [&](std::size_t c) {
+        const std::size_t lo = c * kVoteChunk;
+        const std::size_t n = std::min(kVoteChunk, feats.size() - lo);
+        det.voteCores({ptrs.data() + lo, n}, 0.0, {out.data() + lo, n});
+      },
+      1);
+  return out;
 }
 
 }  // namespace
@@ -217,28 +234,20 @@ Detector trainDetector(const std::vector<Clip>& training,
 
   // Feedback kernel (Sec. III-D4): self-evaluate the non-hotspot centroids;
   // the ones some kernel still flags as hotspots ("extras") become, with
-  // their ambit, the negative side of the feedback training set.
+  // their ambit, the negative side of the feedback training set. The
+  // votes depend only on the kernels, so the drift baseline below reuses
+  // them.
+  std::vector<KernelVote> nhsVotes;
   if (tp.enableFeedback) {
     engine::StageTimer feedbackTimer(ctx.stats(), "train/feedback",
                                      nhs.size(), ctx.tracer());
     std::vector<std::size_t> extraClipIdx;   // indices into nhs
-    std::set<std::size_t> implicatedKernels;
-    std::mutex mu;
-    ctx.parallelFor(nhs.size(), [&](std::size_t i) {
-      for (std::size_t k = 0; k < det.kernels.size(); ++k) {
-        const svm::FeatureVector scaled =
-            det.kernels[k].scaler.transform(allNhsFeat[i]);
-        if (det.kernels[k].model.predict(scaled) > 0) {
-          const std::lock_guard<std::mutex> lock(mu);
-          extraClipIdx.push_back(i);
-          implicatedKernels.insert(k);
-          break;
-        }
-      }
-    });
-    std::sort(extraClipIdx.begin(), extraClipIdx.end());
-    for (const std::size_t k : implicatedKernels)
-      det.kernels[k].feedbackApplies = true;
+    nhsVotes = voteAll(det, allNhsFeat, ctx);
+    for (std::size_t i = 0; i < nhsVotes.size(); ++i) {
+      if (!nhsVotes[i].flagged) continue;
+      extraClipIdx.push_back(i);
+      det.kernels[nhsVotes[i].kernel].feedbackApplies = true;
+    }
     det.stats.feedbackExtras = extraClipIdx.size();
 
     if (!extraClipIdx.empty()) {
@@ -317,49 +326,17 @@ Detector trainDetector(const std::vector<Clip>& training,
     const engine::StageTimer baselineTimer(ctx.stats(), "train/baseline",
                                            hsFeat.size() + allNhsFeat.size(),
                                            ctx.tracer());
-    const std::size_t n = hsFeat.size() + allNhsFeat.size();
-    std::vector<std::uint32_t> slotOf(n);
-    std::vector<std::uint32_t> bucketOf(n);
-    std::vector<char> hotOf(n);
-    const auto attribute = [&det](const svm::FeatureVector& feat,
-                                  std::size_t i, std::vector<std::uint32_t>& s,
-                                  std::vector<std::uint32_t>& b,
-                                  std::vector<char>& h) {
-      std::size_t bestK = 0;
-      double bestD = -std::numeric_limits<double>::infinity();
-      bool flagged = false;
-      for (std::size_t k = 0; k < det.kernels.size(); ++k) {
-        const double d = det.kernels[k].model.decision(
-            det.kernels[k].scaler.transform(feat));
-        if (d > 0) {
-          bestK = k;
-          bestD = d;
-          flagged = true;
-          break;
-        }
-        if (k == 0 || d > bestD) {
-          bestK = k;
-          bestD = d;
-        }
-      }
-      s[i] = std::uint32_t(bestK);
-      b[i] = std::uint32_t(obs::MarginSketch::bucketOf(bestD));
-      h[i] = flagged;
-    };
-    ctx.parallelFor(hsFeat.size(), [&](std::size_t i) {
-      attribute(hsFeat[i], i, slotOf, bucketOf, hotOf);
-    });
-    ctx.parallelFor(allNhsFeat.size(), [&](std::size_t i) {
-      attribute(allNhsFeat[i], hsFeat.size() + i, slotOf, bucketOf, hotOf);
-    });
+    std::vector<KernelVote> votes = voteAll(det, hsFeat, ctx);
+    if (!tp.enableFeedback) nhsVotes = voteAll(det, allNhsFeat, ctx);
+    votes.insert(votes.end(), nhsVotes.begin(), nhsVotes.end());
     det.baseline.clusters.resize(det.kernels.size());
     const std::vector<std::string> names = det.clusterNames();
     for (std::size_t k = 0; k < det.kernels.size(); ++k)
       det.baseline.clusters[k].name = names[k];
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::ModelBaseline::Cluster& c = det.baseline.clusters[slotOf[i]];
-      ++c.buckets[bucketOf[i]];
-      ++(hotOf[i] ? c.hot : c.cold);
+    for (const KernelVote& v : votes) {
+      obs::ModelBaseline::Cluster& c = det.baseline.clusters[v.kernel];
+      ++c.buckets[obs::MarginSketch::bucketOf(v.margin)];
+      ++(v.flagged ? c.hot : c.cold);
     }
     det.hasBaseline = true;
   }
@@ -381,11 +358,54 @@ double Detector::hotspotProbability(const CorePattern& core) const {
   return hasPlatt ? platt.probability(f) : (f > 0 ? 1.0 : 0.0);
 }
 
+void Detector::voteCores(std::span<const svm::FeatureVector* const> feats,
+                         double bias, std::span<KernelVote> out) const {
+  if (out.size() != feats.size())
+    throw std::invalid_argument("Detector::voteCores: size mismatch");
+  for (std::size_t c0 = 0; c0 < feats.size(); c0 += kVoteChunk) {
+    const std::size_t n = std::min(kVoteChunk, feats.size() - c0);
+    // Chunk positions still unflagged, in order; a flagged core leaves
+    // the list at its first flagging kernel, as the OR vote stops there.
+    std::size_t open[kVoteChunk];
+    std::size_t nOpen = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      open[i] = i;
+      out[c0 + i] = KernelVote{};
+    }
+    for (std::size_t k = 0; k < kernels.size() && nOpen > 0; ++k) {
+      const KernelEntry& ke = kernels[k];
+      const std::size_t dim = ke.scaler.dim();
+      engine::ArenaScope scope(engine::threadScratch());
+      const std::span<double> xs =
+          scope.arena().allocSpan<double>(nOpen * dim);
+      for (std::size_t r = 0; r < nOpen; ++r)
+        ke.scaler.transformInto(*feats[c0 + open[r]], xs.data() + r * dim);
+      double d[kVoteChunk];
+      ke.model.decisionsFrom(xs, {d, nOpen});
+      std::size_t kept = 0;
+      for (std::size_t r = 0; r < nOpen; ++r) {
+        KernelVote& v = out[c0 + open[r]];
+        if (d[r] > bias) {
+          v = {true, k, d[r]};
+          continue;
+        }
+        if (k == 0 || d[r] > v.margin) {
+          v.kernel = k;
+          v.margin = d[r];
+        }
+        open[kept++] = open[r];
+      }
+      nOpen = kept;
+    }
+  }
+}
+
 bool Detector::evaluateCore(const CorePattern& core, double bias) const {
   const svm::FeatureVector feat = buildFeatureVector(core, params.features);
-  for (const KernelEntry& k : kernels)
-    if (k.model.decision(k.scaler.transform(feat)) > bias) return true;
-  return false;
+  const svm::FeatureVector* const p = &feat;
+  KernelVote v;
+  voteCores({&p, 1}, bias, {&v, 1});
+  return v.flagged;
 }
 
 double Detector::decisionValue(const CorePattern& core) const {
@@ -398,16 +418,8 @@ double Detector::decisionValue(const CorePattern& core) const {
 
 bool Detector::evaluateClip(const Clip& clip, double bias,
                             bool useFeedback) const {
-  const svm::FeatureVector feat = buildFeatureVector(
-      CorePattern::fromCore(clip, params.layer), params.features);
-  bool flagged = false;
-  for (const KernelEntry& k : kernels) {
-    if (k.model.decision(k.scaler.transform(feat)) > bias) {
-      flagged = true;
-      break;
-    }
-  }
-  if (!flagged) return false;
+  if (!evaluateCore(CorePattern::fromCore(clip, params.layer), bias))
+    return false;
   if (useFeedback && hasFeedback) {
     const svm::FeatureVector fb = buildFeatureVector(
         CorePattern::fromClip(clip, params.layer), params.feedbackFeatures);
@@ -487,6 +499,9 @@ std::uint64_t hashFeatureParams(std::uint64_t h, const FeatureParams& f) {
 // Detector::fingerprint() walks these same fields by hand; the
 // DetectorFingerprint tests (tests/test_model_obs.cpp) keep the two in step.
 void Detector::saveCore(std::ostream& os) const {
+  // max_digits10 before the first double (the kernel lines' finalC and
+  // finalGamma), so every value reloads to the same bits.
+  os.precision(17);
   os << "hsd_detector 2\n";
   os << params.clip.coreSide << ' ' << params.clip.clipSide << ' '
      << params.layer << '\n';

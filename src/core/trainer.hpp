@@ -6,7 +6,9 @@
 
 #include <cstddef>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,6 +87,21 @@ struct TrainStats {
   double trainSeconds = 0.0;
 };
 
+/// One core feature vector's multiple-kernel OR vote (Sec. III-D) with its
+/// margin attribution: a flagged core belongs to its first flagging
+/// kernel, an unflagged one to the kernel whose decision value came
+/// closest to flagging it (the first maximum; kernel 0 when no kernel
+/// exists or the values are NaN).
+struct KernelVote {
+  bool flagged = false;
+  std::size_t kernel = 0;
+  double margin = -std::numeric_limits<double>::infinity();
+};
+
+/// Cores scored together by Detector::voteCores: each kernel scales and
+/// scores up to this many still-open feature vectors in one batch.
+inline constexpr std::size_t kVoteChunk = 16;
+
 /// The deployable detector: multiple SVM kernels plus an optional feedback
 /// kernel. Evaluation: a core is flagged hotspot when any kernel says so;
 /// flagged clips then pass the feedback kernel, which may reclaim them as
@@ -111,6 +128,18 @@ class Detector {
   /// Multiple-kernel OR vote on a core pattern. `bias` shifts every
   /// kernel's decision threshold (positive = stricter, fewer hotspots).
   bool evaluateCore(const CorePattern& core, double bias = 0.0) const;
+
+  /// The OR vote on pre-built core feature vectors: out[i] is the vote of
+  /// *feats[i] at threshold `bias` (a kernel flags when its decision value
+  /// exceeds it). Scored kernel-major in chunks of kVoteChunk: each kernel
+  /// scales every still-open vector of the chunk and scores them in one
+  /// SvmModel::decisionsFrom call, and a vector leaves the chunk at its
+  /// first flagging kernel. Every decision value is bit-identical to
+  /// scoring the vector alone, kernel after kernel. Allocation-free in the
+  /// steady state (thread scratch arena). out.size() must equal
+  /// feats.size().
+  void voteCores(std::span<const svm::FeatureVector* const> feats,
+                 double bias, std::span<KernelVote> out) const;
 
   /// Full clip evaluation: kernels on the core, then the feedback kernel
   /// on the whole clip (when trained and enabled).

@@ -1,7 +1,7 @@
 // Hot kernel primitives of the SVM layer: batched dot products and
-// squared distances of one query vector against a packed set of stored
-// vectors — the inner loops of QMatrix row computation (SMO training) and
-// SvmModel::decision (serving).
+// squared distances of one or several query vectors against a packed set
+// of stored vectors — the inner loops of QMatrix row computation (SMO
+// training) and SvmModel::decision / decisionsFrom (serving).
 //
 // Vectorization strategy (see geom/simd.hpp for the dispatch): lanes run
 // *across stored vectors*, never across dimensions — each output's
@@ -59,10 +59,22 @@ void dotProducts(const PackedVectors& vs, const double* x, double* out);
 void dotProductsScalar(const PackedVectors& vs, const double* x, double* out);
 
 /// out[j] = sum_k d*d with d = vs[j][k] - x[k], accumulated in scalar
-/// order — the ||sv - x||^2 term of the RBF kernel. Dispatched.
-void squaredDistances(const PackedVectors& vs, const double* x, double* out);
-/// The scalar oracle (matches rbfKernel's loop bit-for-bit).
+/// order — the ||sv - x||^2 term of the RBF kernel, for one query. The
+/// scalar oracle of squaredDistancesMulti (matches rbfKernel's loop
+/// bit-for-bit).
 void squaredDistancesScalar(const PackedVectors& vs, const double* x,
                             double* out);
+
+/// Squared distances of `nq` queries at once: query q is the dim()
+/// doubles at xs + q * dim(), and its distances land in
+/// out[q * count(), (q + 1) * count()). Each packed block is scored
+/// against up to four queries per pass, so the AVX2 path runs four
+/// independent accumulator chains instead of waiting on one; every output
+/// still accumulates in scalar order. Dispatched.
+void squaredDistancesMulti(const PackedVectors& vs, const double* xs,
+                           std::size_t nq, double* out);
+/// The scalar oracle: squaredDistancesScalar() per query.
+void squaredDistancesMultiScalar(const PackedVectors& vs, const double* xs,
+                                 std::size_t nq, double* out);
 
 }  // namespace hsd::svm::ops

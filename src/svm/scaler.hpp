@@ -25,8 +25,12 @@ class Scaler {
   FeatureVector transform(const FeatureVector& v) const;
   /// transform() into caller-provided storage of dim() doubles (the
   /// allocation-free hot path; `out` may be arena scratch). Same values
-  /// and same dimension-mismatch contract as transform().
+  /// and same dimension-mismatch contract as transform(). Dispatched:
+  /// the AVX2 path does the same per-element sub, div and clamp four
+  /// dimensions at a time, so it is bit-identical to the scalar oracle.
   void transformInto(const FeatureVector& v, double* out) const;
+  /// The scalar oracle of transformInto().
+  void transformIntoScalar(const FeatureVector& v, double* out) const;
   void transformInPlace(std::vector<FeatureVector>& data) const;
 
   const std::vector<double>& mins() const { return lo_; }

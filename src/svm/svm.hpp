@@ -55,6 +55,13 @@ class SvmModel {
   /// step, byte-identical to the scalar per-SV loop. Throws
   /// std::invalid_argument on a dimension mismatch.
   double decisionFrom(std::span<const double> x) const;
+  /// decisionFrom() of out.size() queries stored back to back in `xs`
+  /// (query q at xs[q * dim, (q + 1) * dim)): out[q] is bit-identical to
+  /// decisionFrom() of query q alone. The distances of all queries come
+  /// from one ops::squaredDistancesMulti pass over the support vectors;
+  /// each kernel sum then walks the SVs in order. Throws
+  /// std::invalid_argument when xs.size() != out.size() * dim.
+  void decisionsFrom(std::span<const double> xs, std::span<double> out) const;
   /// Predicted label with an optional decision-threshold shift `bias`
   /// (predict +1 iff decision(x) > bias); bias sweeps trace the
   /// accuracy / false-alarm trade-off curve of Fig. 15.

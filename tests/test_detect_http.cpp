@@ -368,7 +368,10 @@ TEST(DetectHttp, ClientDisconnectCancelsQueuedRun) {
   // One worker, blocked by in-process submissions; the wire request
   // queues behind them. Closing the client socket must cancel it — the
   // handler's disconnect probe fires the CancelSource, and the queued
-  // fast-fail path resolves kCancelled without ever running.
+  // fast-fail path resolves kCancelled without ever running. The handler
+  // probes every 25 ms, so the blockers must keep the worker busy well
+  // past that: a pass over the fixture layout takes ~15 ms on a fast
+  // host, and three of them could drain before the first probe.
   ServerConfig scfg;
   scfg.workers = 1;
   scfg.threadsPerContext = 1;
@@ -378,7 +381,7 @@ TEST(DetectHttp, ClientDisconnectCancelsQueuedRun) {
   ep.extract.clip = f.detector.params.clip;
   ep.removal.clip = f.detector.params.clip;
   std::vector<std::future<ServeResult>> blockers;
-  for (int i = 0; i < 3; ++i)
+  for (int i = 0; i < 16; ++i)
     blockers.push_back(w.server->submit(f.detector, f.test.layout, ep));
 
   // Full request, then immediate close: the handler sees EOF on its

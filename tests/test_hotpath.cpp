@@ -5,13 +5,20 @@
 //    randomized inputs (every window shape, ragged pack blocks, all eight
 //    orientations of the rect sets) — vectorization must never
 //    reassociate a reduction;
+//  - the multi-query distance kernel and the AVX2 scaler equal their
+//    scalar oracles bit for bit (ragged SV blocks and query chunks; NaN,
+//    -0.0, out-of-range and constant-range inputs);
 //  - SvmModel::decisionFrom equals the naive per-SV rbfKernel loop it
-//    replaced, exactly, and rbfKernel/Scaler reject dimension mismatches
-//    with the same error contract;
+//    replaced, exactly, decisionsFrom equals it query by query, and
+//    rbfKernel/Scaler reject dimension mismatches with the same error
+//    contract;
+//  - the kernel-major OR vote (Detector::voteCores, eval/svm) equals the
+//    clip-major loop it replaced: verdict, attributed kernel and margin
+//    bits across a bias sweep, with and without a ModelStatsRecorder;
 //  - the per-clip Arena: alignment, scope rewind, reset-keeps-capacity,
 //    and zero steady-state heap allocations through the arena-backed
-//    scale→decide and rasterize paths (global operator-new counter, the
-//    test_obs.cpp harness);
+//    scale→decide, kernel-vote and rasterize paths (global operator-new
+//    counter, the test_obs.cpp harness);
 //  - StageCache sharding: serving-scale capacity shards (approximate
 //    global capacity still exact), small capacity stays one shard so LRU
 //    order is globally exact;
@@ -23,17 +30,22 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <random>
 #include <vector>
 
+#include "common.hpp"
+#include "core/evaluator.hpp"
+#include "core/trainer.hpp"
 #include "engine/arena.hpp"
 #include "engine/cache.hpp"
 #include "geom/density_grid.hpp"
 #include "geom/orientation.hpp"
 #include "geom/simd.hpp"
 #include "obs/metrics.hpp"
+#include "obs/model_stats.hpp"
 #include "par/cacheline.hpp"
 #include "svm/kernel_ops.hpp"
 #include "svm/scaler.hpp"
@@ -181,7 +193,7 @@ TEST(KernelOps, PackedMatchesScalarAndNaive) {
       std::vector<double> dotD(count), dotS(count), d2D(count), d2S(count);
       hsd::svm::ops::dotProducts(packed, x.data(), dotD.data());
       hsd::svm::ops::dotProductsScalar(packed, x.data(), dotS.data());
-      hsd::svm::ops::squaredDistances(packed, x.data(), d2D.data());
+      hsd::svm::ops::squaredDistancesMulti(packed, x.data(), 1, d2D.data());
       hsd::svm::ops::squaredDistancesScalar(packed, x.data(), d2S.data());
       for (std::size_t j = 0; j < count; ++j) {
         // The naive sequential reductions every pre-PR loop performed.
@@ -215,6 +227,94 @@ TEST(KernelOps, InconsistentDimensionThrows) {
   EXPECT_THROW(hsd::svm::ops::PackedVectors{vs}, std::invalid_argument);
 }
 
+TEST(KernelOps, MultiQueryMatchesScalarOracleBitForBit) {
+  // Ragged SV blocks (count % 4 != 0) x ragged query groups (nq % 4 != 0,
+  // up to a full kVoteChunk), at the production dimension too.
+  std::mt19937 rng(321u);
+  std::uniform_real_distribution<double> u(-2.0, 2.0);
+  for (const std::size_t count : {1u, 3u, 4u, 6u, 9u, 33u}) {
+    for (const std::size_t dim : {1u, 5u, 17u, 125u}) {
+      std::vector<hsd::svm::FeatureVector> vs(count,
+                                              hsd::svm::FeatureVector(dim));
+      for (auto& v : vs)
+        for (double& e : v) e = u(rng);
+      const hsd::svm::ops::PackedVectors packed(vs);
+      for (const std::size_t nq : {1u, 2u, 3u, 4u, 5u, 7u, 13u, 16u}) {
+        std::vector<double> xs(nq * dim);
+        for (double& e : xs) e = u(rng);
+        std::vector<double> got(nq * count), want(nq * count),
+            single(count);
+        hsd::svm::ops::squaredDistancesMulti(packed, xs.data(), nq,
+                                             got.data());
+        hsd::svm::ops::squaredDistancesMultiScalar(packed, xs.data(), nq,
+                                                   want.data());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "count=" << count << " dim=" << dim << " nq=" << nq
+            << " simd=" << simd::toString(simd::activeLevel());
+        for (std::size_t q = 0; q < nq; ++q) {
+          hsd::svm::ops::squaredDistancesScalar(packed, xs.data() + q * dim,
+                                                single.data());
+          ASSERT_EQ(std::memcmp(single.data(), want.data() + q * count,
+                                count * sizeof(double)),
+                    0)
+              << "oracle row " << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScalerSimd, DispatchedMatchesScalarOnEdgeValues) {
+  // Ranges: ordinary, constant (0.5), inverted (0.5), NaN bounds (0.5),
+  // tiny; 11 dimensions so the AVX2 path also runs its scalar tail.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> lo = {0.0, -1.0, 3.0, 2.0, nan, 0.0,
+                                  -5.0, 1e-300, 0.0, 7.0, -2.0};
+  const std::vector<double> hi = {1.0, 1.0, 3.0, 1.0, 1.0, nan,
+                                  5.0, 2e-300, 1e-9, 7.5, 2.0};
+  const hsd::svm::Scaler sc(lo, hi);
+  const double specials[] = {nan, 0.0, -0.0, -1.0, 2.0, 1e308, -1e308,
+                             inf, -inf, 3.0, 0.5, 1e-300, -1e-300};
+  std::mt19937 rng(8u);
+  std::uniform_real_distribution<double> u(-6.0, 9.0);
+  for (int trial = 0; trial < 400; ++trial) {
+    hsd::svm::FeatureVector v(lo.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      // Mostly specials, exact bounds and in-range values.
+      switch (rng() % 4) {
+        case 0: v[i] = specials[rng() % std::size(specials)]; break;
+        case 1: v[i] = rng() % 2 ? lo[i] : hi[i]; break;
+        default: v[i] = u(rng); break;
+      }
+    }
+    double got[11], want[11];
+    sc.transformInto(v, got);
+    sc.transformIntoScalar(v, want);
+    ASSERT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+        << "trial " << trial
+        << " simd=" << simd::toString(simd::activeLevel());
+  }
+  // The contract itself: NaN passes through, -0.0 keeps its sign, out of
+  // range clamps, a constant range maps to 0.5.
+  double out[11];
+  hsd::svm::FeatureVector v(lo.size(), 0.5);
+  v[0] = nan;
+  v[1] = 7.0;
+  v[6] = -9.0;
+  sc.transformInto(v, out);
+  EXPECT_TRUE(std::isnan(out[0]));
+  EXPECT_EQ(out[1], 1.0);
+  EXPECT_EQ(out[2], 0.5);
+  EXPECT_EQ(out[3], 0.5);
+  EXPECT_EQ(out[6], 0.0);
+  v[8] = -0.0;
+  sc.transformInto(v, out);
+  EXPECT_TRUE(std::signbit(out[8]));
+}
+
 TEST(SvmDecision, DecisionFromMatchesNaiveRbfLoopExactly) {
   std::mt19937 rng(4242u);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
@@ -239,6 +339,32 @@ TEST(SvmDecision, DecisionFromMatchesNaiveRbfLoopExactly) {
   }
 }
 
+TEST(SvmDecision, BatchedDecisionsEqualOneAtATime) {
+  std::mt19937 rng(77u);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  const std::size_t nsv = 10, dim = 9, nq = 7;
+  std::vector<hsd::svm::FeatureVector> sv(nsv, hsd::svm::FeatureVector(dim));
+  std::vector<double> coef(nsv);
+  for (auto& v : sv)
+    for (double& e : v) e = u(rng);
+  for (double& c : coef) c = u(rng);
+  const hsd::svm::SvmModel model(sv, coef, -0.2, 1.3);
+  std::vector<double> xs(nq * dim);
+  for (double& e : xs) e = u(rng);
+  std::vector<double> got(nq);
+  model.decisionsFrom(xs, got);
+  for (std::size_t q = 0; q < nq; ++q) {
+    const double want = model.decisionFrom({xs.data() + q * dim, dim});
+    EXPECT_EQ(std::memcmp(&got[q], &want, sizeof(double)), 0) << q;
+  }
+  EXPECT_THROW(model.decisionsFrom({xs.data(), xs.size() - 1}, got),
+               std::invalid_argument);
+  // An empty model scores -rho without looking at the queries.
+  const hsd::svm::SvmModel empty({}, {}, 0.75, 0.5);
+  empty.decisionsFrom({}, got);
+  for (const double d : got) EXPECT_EQ(d, -0.75);
+}
+
 TEST(SvmDecision, DimensionMismatchErrorContract) {
   EXPECT_THROW(hsd::svm::rbfKernel({1.0, 2.0}, {1.0}, 0.5),
                std::invalid_argument);
@@ -252,6 +378,162 @@ TEST(SvmDecision, DimensionMismatchErrorContract) {
   sc.transformInto({0.5, 1.0}, out);
   EXPECT_EQ(out[0], 0.5);
   EXPECT_EQ(out[1], 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel-major OR vote (Detector::voteCores, eval/svm) against the
+// clip-major loop it replaced.
+
+// The clip-major oracle: one clip scaled (scalar oracle) and scored
+// (naive per-SV RBF sum) against each kernel in turn, stopping at the
+// first kernel that flags; an unflagged clip keeps the first kernel with
+// the largest decision value.
+core::KernelVote clipMajorVote(const core::Detector& det,
+                               const svm::FeatureVector& feat, double bias) {
+  core::KernelVote v;
+  for (std::size_t k = 0; k < det.kernels.size(); ++k) {
+    const core::KernelEntry& ke = det.kernels[k];
+    svm::FeatureVector x(ke.scaler.dim());
+    ke.scaler.transformIntoScalar(feat, x.data());
+    const std::vector<svm::FeatureVector>& sv = ke.model.supportVectors();
+    double sum = 0;
+    for (std::size_t i = 0; i < sv.size(); ++i)
+      sum += ke.model.coefficients()[i] *
+             svm::rbfKernel(sv[i], x, ke.model.gamma());
+    const double d = sum - ke.model.rho();
+    if (d > bias) return {true, k, d};
+    if (k == 0 || d > v.margin) {
+      v.kernel = k;
+      v.margin = d;
+    }
+  }
+  return v;
+}
+
+struct ScoredCandidates {
+  GridIndex index;
+  std::vector<ClipWindow> windows;
+  std::vector<svm::FeatureVector> feats;  ///< core features, per window
+};
+
+/// The fixture layout's candidate clips with their core feature vectors.
+const ScoredCandidates& fixtureCandidates() {
+  static const ScoredCandidates c = [] {
+    const tests::DetectorFixture& f = tests::detectorFixture();
+    const core::Detector& det = f.detector;
+    ScoredCandidates out{
+        GridIndex(f.test.layout.findLayer(det.params.layer)->rects(),
+                  det.params.clip.clipSide),
+        {},
+        {}};
+    core::ExtractParams ep;
+    ep.clip = det.params.clip;
+    engine::RunContext ctx(1);
+    out.windows = core::extractCandidateClips(out.index, ep, ctx);
+    const std::vector<std::pair<LayerId, const GridIndex*>> layers{
+        {det.params.layer, &out.index}};
+    for (const ClipWindow& w : out.windows)
+      out.feats.push_back(core::buildFeatureVector(
+          core::CorePattern::fromCore(extractClip(layers, w),
+                                      det.params.layer),
+          det.params.features));
+    return out;
+  }();
+  return c;
+}
+
+constexpr double kBiasSweep[] = {-1.0, -0.3, 0.0, 0.4, 1.5};
+
+TEST(KernelMajorVote, EqualsClipMajorOracleAcrossBiasSweep) {
+  const core::Detector& det = tests::detectorFixture().detector;
+  const ScoredCandidates& c = fixtureCandidates();
+  ASSERT_GT(det.kernels.size(), 1u);
+  // 37 first: ragged chunks (16 + 16 + 5); then every candidate.
+  std::vector<const svm::FeatureVector*> ptrs;
+  for (const svm::FeatureVector& f : c.feats) ptrs.push_back(&f);
+  ASSERT_GT(ptrs.size(), 37u);
+  for (const double bias : kBiasSweep) {
+    SCOPED_TRACE(bias);
+    std::size_t flagged = 0;
+    for (const std::size_t n : {std::size_t{37}, ptrs.size()}) {
+      std::vector<core::KernelVote> got(n);
+      det.voteCores({ptrs.data(), n}, bias, got);
+      for (std::size_t i = 0; i < n; ++i) {
+        const core::KernelVote want = clipMajorVote(det, c.feats[i], bias);
+        ASSERT_EQ(got[i].flagged, want.flagged) << i;
+        ASSERT_EQ(got[i].kernel, want.kernel) << i;
+        ASSERT_EQ(std::memcmp(&got[i].margin, &want.margin, sizeof(double)),
+                  0)
+            << i << ": " << got[i].margin << " vs " << want.margin;
+        if (n == ptrs.size() && got[i].flagged) ++flagged;
+      }
+    }
+    if (bias == 0.0) {
+      // Both outcomes occur at the production threshold.
+      EXPECT_GT(flagged, 0u);
+      EXPECT_LT(flagged, ptrs.size());
+    }
+  }
+}
+
+TEST(KernelMajorVote, EvaluatorMatchesOracleWithAndWithoutRecorder) {
+  // eval/svm alone (feedback and removal off): the reported windows are
+  // exactly the oracle-flagged ones, and an attached recorder sees the
+  // oracle's per-kernel attribution and margins.
+  const core::Detector& det = tests::detectorFixture().detector;
+  const ScoredCandidates& c = fixtureCandidates();
+  for (const double bias : kBiasSweep) {
+    SCOPED_TRACE(bias);
+    std::vector<ClipWindow> wantReported;
+    std::vector<obs::ModelStatsRecorder::ClusterCounts> wantCounts(
+        det.kernels.size());
+    for (std::size_t i = 0; i < c.windows.size(); ++i) {
+      const core::KernelVote v = clipMajorVote(det, c.feats[i], bias);
+      if (v.flagged) wantReported.push_back(c.windows[i]);
+      obs::ModelStatsRecorder::ClusterCounts& cc = wantCounts[v.kernel];
+      ++(v.flagged ? cc.hot : cc.cold);
+      ++cc.buckets[obs::MarginSketch::bucketOf(v.margin)];
+    }
+    core::EvalParams p;
+    p.extract.clip = det.params.clip;
+    p.decisionBias = bias;
+    p.useFeedback = false;
+    p.useRemoval = false;
+    for (const bool withRecorder : {false, true}) {
+      SCOPED_TRACE(withRecorder);
+      engine::RunContext ctx(3);
+      auto rec = std::make_shared<obs::ModelStatsRecorder>(det.clusterNames());
+      if (withRecorder) ctx.attachModelStats(rec);
+      const core::EvalResult res =
+          core::evaluateCandidates(det, c.index, c.windows, p, ctx);
+      EXPECT_EQ(res.reported, wantReported);
+      if (!withRecorder) continue;
+      const obs::ModelStatsRecorder::Snapshot snap = rec->snapshot();
+      for (std::size_t k = 0; k < det.kernels.size(); ++k) {
+        EXPECT_EQ(snap.clusters[k].hot, wantCounts[k].hot) << k;
+        EXPECT_EQ(snap.clusters[k].cold, wantCounts[k].cold) << k;
+        EXPECT_EQ(snap.clusters[k].buckets, wantCounts[k].buckets) << k;
+      }
+    }
+  }
+}
+
+TEST(KernelMajorVote, DetectorEntryPointsAgreeWithTheVote) {
+  // evaluateCore / evaluateClip route through voteCores too.
+  const tests::DetectorFixture& f = tests::detectorFixture();
+  const core::Detector& det = f.detector;
+  const ScoredCandidates& c = fixtureCandidates();
+  const std::vector<std::pair<LayerId, const GridIndex*>> layers{
+      {det.params.layer, &c.index}};
+  for (std::size_t i = 0; i < std::min<std::size_t>(c.windows.size(), 64);
+       ++i) {
+    const Clip clip = extractClip(layers, c.windows[i]);
+    const bool want = clipMajorVote(det, c.feats[i], 0.0).flagged;
+    EXPECT_EQ(det.evaluateCore(
+                  core::CorePattern::fromCore(clip, det.params.layer)),
+              want);
+    EXPECT_EQ(det.evaluateClip(clip, 0.0, /*useFeedback=*/false), want);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -343,6 +625,39 @@ TEST(Arena, SteadyStateScaleAndDecideAllocatesNothing) {
   for (int i = 0; i < 1000; ++i) got = evalOnce();
   EXPECT_EQ(g_allocCount.load(), before) << "hot path touched the heap";
   EXPECT_EQ(got, want);
+
+  // The batched scorer: per-kernel scaled rows come from the thread
+  // scratch arena, distances from the model's grown scratch. 21 vectors
+  // make one full chunk and one ragged chunk.
+  core::Detector det;
+  det.kernels.resize(5);
+  for (core::KernelEntry& k : det.kernels) {
+    std::vector<hsd::svm::FeatureVector> svs(3 + rng() % 6,
+                                             hsd::svm::FeatureVector(dim));
+    for (auto& v : svs)
+      for (double& e : v) e = u(rng);
+    k.scaler.fit(svs);
+    k.model = hsd::svm::SvmModel(svs, std::vector<double>(svs.size(), 0.3),
+                                 1.5, 0.5);
+  }
+  std::vector<hsd::svm::FeatureVector> feats(21,
+                                             hsd::svm::FeatureVector(dim));
+  for (auto& v : feats)
+    for (double& e : v) e = u(rng);
+  std::vector<const hsd::svm::FeatureVector*> ptrs;
+  for (const auto& v : feats) ptrs.push_back(&v);
+  std::vector<core::KernelVote> votes(feats.size());
+  const auto voteOnce = [&] { det.voteCores(ptrs, 0.0, votes); };
+  voteOnce();  // warm-up: arena block, distance scratch
+  const std::vector<core::KernelVote> wantVotes = votes;
+  const std::uint64_t beforeVote = g_allocCount.load();
+  for (int i = 0; i < 200; ++i) voteOnce();
+  EXPECT_EQ(g_allocCount.load(), beforeVote) << "kernel vote touched the heap";
+  for (std::size_t i = 0; i < votes.size(); ++i) {
+    EXPECT_EQ(votes[i].flagged, wantVotes[i].flagged);
+    EXPECT_EQ(votes[i].kernel, wantVotes[i].kernel);
+    EXPECT_EQ(votes[i].margin, wantVotes[i].margin);
+  }
 }
 
 TEST(Arena, SteadyStateRasterizeAllocatesNothing) {

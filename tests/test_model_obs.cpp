@@ -738,6 +738,30 @@ TEST(DetectorFingerprint, CopiesAndSaveLoadRoundTripsKeepIt) {
   EXPECT_EQ(core::Detector::load(second).fingerprint(), base);
 }
 
+TEST(DetectorFingerprint, SaveLoadKeepsKernelParamsThatNeedAllDigits) {
+  // finalC / finalGamma open each kernel line, ahead of the scalers and
+  // models; a C of 1/3 needs all 17 significant digits to reload exactly.
+  core::TrainParams tp;
+  tp.initC = 1.0 / 3.0;
+  const core::Detector det =
+      core::trainDetector(tests::lineTrainingSet(), tp);
+  ASSERT_FALSE(det.kernels.empty());
+  std::stringstream ss;
+  det.save(ss);
+  const core::Detector loaded = core::Detector::load(ss);
+  EXPECT_EQ(loaded.fingerprint(), det.fingerprint());
+  ASSERT_EQ(loaded.kernels.size(), det.kernels.size());
+  for (std::size_t k = 0; k < det.kernels.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(std::memcmp(&loaded.kernels[k].finalC, &det.kernels[k].finalC,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&loaded.kernels[k].finalGamma,
+                          &det.kernels[k].finalGamma, sizeof(double)),
+              0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DriftScorer
 

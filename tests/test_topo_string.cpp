@@ -7,6 +7,7 @@
 
 #include "core/pattern.hpp"
 #include "core/topo_string.hpp"
+#include "data/generator.hpp"
 
 namespace hsd::core {
 namespace {
@@ -164,6 +165,115 @@ TEST(TopoString, SerializeIsInjectiveOnExamples) {
   EXPECT_NE(serializeStrings(encodeStrings(a)),
             serializeStrings(encodeStrings(b)));
   EXPECT_EQ(canonicalTopoKey(a), canonicalTopoKey(b));
+}
+
+// ---------------------------------------------------------------------------
+// One-encode canonical orientation: orientStrings' D8 reordering and the
+// canonical key/orientation against the eight-transform definitions.
+
+// The definitions canonicalTopoKey and canonicalOrient implement: transform
+// the pattern eight times and encode each orientation from scratch.
+std::string oracleTopoKey(const CorePattern& p) {
+  std::string best;
+  for (const Orient o : kAllOrients) {
+    std::string k = serializeStrings(encodeStrings(p.transformed(o)));
+    if (best.empty() || k < best) best = std::move(k);
+  }
+  return best;
+}
+
+Orient oracleOrient(const CorePattern& p) {
+  std::string bestKey;
+  std::vector<Rect> bestRects;
+  Orient bestO = Orient::R0;
+  bool first = true;
+  for (const Orient o : kAllOrients) {
+    CorePattern t = p.transformed(o);
+    std::string k = serializeStrings(encodeStrings(t));
+    if (first || k < bestKey || (k == bestKey && t.rects < bestRects)) {
+      bestKey = std::move(k);
+      bestRects = std::move(t.rects);
+      bestO = o;
+      first = false;
+    }
+  }
+  return bestO;
+}
+
+// Generated training clips (core and full-clip patterns), random patterns
+// with touching and overlapping rects in non-square windows, and the
+// shapes where keys tie: empty, full cover, fully symmetric, and
+// topologically symmetric but dimensionally lopsided.
+std::vector<CorePattern> orientationCorpus() {
+  std::vector<CorePattern> out = {
+      pattern(100, 100, {}),
+      pattern(120, 80, {}),
+      pattern(100, 100, {{0, 0, 100, 100}}),
+      pattern(100, 100, {{40, 40, 60, 60}}),
+      pattern(100, 100, {{0, 40, 100, 60}, {40, 0, 60, 100}}),
+      pattern(100, 100, {{10, 10, 40, 90}}),
+      pattern(100, 100, {{0, 0, 30, 30}, {70, 70, 100, 100}}),
+      pattern(100, 100, {{0, 0, 30, 30}, {70, 0, 100, 30},
+                         {0, 70, 30, 100}, {70, 70, 100, 100}}),
+      pattern(90, 150, {{0, 0, 90, 20}, {0, 130, 90, 150}})};
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<Coord> side(40, 160);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Coord w = side(rng), h = side(rng);
+    std::uniform_int_distribution<Coord> x(0, w), y(0, h);
+    std::vector<Rect> rects;
+    const int n = 1 + int(rng() % 6);
+    for (int i = 0; i < n; ++i) {
+      const Coord x1 = x(rng), x2 = x(rng), y1 = y(rng), y2 = y(rng);
+      if (x1 != x2 && y1 != y2) rects.push_back({x1, y1, x2, y2});
+    }
+    out.push_back(pattern(w, h, std::move(rects)));
+  }
+  data::GeneratorParams gp;
+  gp.seed = 5;
+  data::TrainingTargets t;
+  t.hotspots = 20;
+  t.nonHotspots = 80;
+  for (const Clip& c : data::generateTrainingSet(gp, t).clips) {
+    out.push_back(CorePattern::fromCore(c, 1));
+    out.push_back(CorePattern::fromClip(c, 1));
+  }
+  return out;
+}
+
+TEST(TopoStringOrient, OrientStringsEqualsEncodingTheTransformedPattern) {
+  for (const CorePattern& p : orientationCorpus()) {
+    const DirectionalStrings s = encodeStrings(p);
+    for (const Orient o : kAllOrients)
+      ASSERT_EQ(orientStrings(s, o), encodeStrings(p.transformed(o)))
+          << toString(o) << " on " << serializeStrings(s);
+  }
+}
+
+TEST(TopoStringOrient, CanonicalKeyAndOrientMatchEightTransformOracle) {
+  std::size_t ties = 0;
+  for (const CorePattern& p : orientationCorpus()) {
+    const std::string key = oracleTopoKey(p);
+    ASSERT_EQ(canonicalTopoKey(p), key) << serializeStrings(encodeStrings(p));
+    ASSERT_EQ(canonicalOrient(p), oracleOrient(p))
+        << serializeStrings(encodeStrings(p));
+    std::size_t attaining = 0;
+    for (const Orient o : kAllOrients)
+      attaining +=
+          serializeStrings(encodeStrings(p.transformed(o))) == key ? 1 : 0;
+    ties += attaining > 1 ? 1 : 0;
+  }
+  EXPECT_GT(ties, 10u);  // the rect tie-break actually ran
+}
+
+TEST(TopoStringOrient, FullySymmetricPatternKeepsTheFirstOrientation) {
+  // Every orientation gives the same key and the same rects: the first
+  // (R0) wins, as in kAllOrients order.
+  EXPECT_EQ(canonicalOrient(pattern(100, 100, {})), Orient::R0);
+  EXPECT_EQ(canonicalOrient(pattern(100, 100, {{0, 0, 100, 100}})),
+            Orient::R0);
+  EXPECT_EQ(canonicalOrient(pattern(100, 100, {{40, 40, 60, 60}})),
+            Orient::R0);
 }
 
 }  // namespace
